@@ -844,8 +844,8 @@ fn cmd_trace(args: &[String]) -> CliResult {
 fn cmd_spec(args: &[String]) -> CliResult {
     use spinfer_llm::spec::{DraftModel, SpecConfig, TreeShape};
     use spinfer_llm::{
-        framework_for_kernel, serve_spec_ctx, serve_with, LengthMix, ServingConfig,
-        SpecServingReport, SpecStats,
+        framework_for_kernel, serve_spec_ctx, LengthMix, ServingConfig, SpecServingReport,
+        SpecStats,
     };
     let spec = gpu(args)?;
     let model = match flag_value(args, "--model").unwrap_or("opt-13b") {
@@ -927,9 +927,17 @@ fn cmd_spec(args: &[String]) -> CliResult {
     let trace_dir = flag_value(args, "--trace-dir");
     let sink = trace_dir.map(|_| TraceSink::new());
     let mut reg = Registry::new();
+    let run = |sc: &SpecConfig| {
+        let mut ctx = LaunchCtx::new(&spec);
+        if let Some(s) = sink.as_ref() {
+            ctx = ctx.with_sink(s);
+        }
+        serve_spec_ctx(&ctx, &serving_cfg, sc).map_err(|e| e.to_string())
+    };
 
-    // Incremental baseline: same workload, plain one-token decode.
-    let base = serve_with(&spec, &serving_cfg, sink.as_ref());
+    // Incremental baseline: same workload, plain one-token decode (the
+    // degenerate tree), reported with an empty speculation ledger.
+    let base = run(&SpecConfig::degenerate())?.serving;
     SpecServingReport {
         serving: base.clone(),
         stats: SpecStats::default(),
@@ -950,11 +958,7 @@ fn cmd_spec(args: &[String]) -> CliResult {
                 seed,
             };
             sc.validate().map_err(|e| e.to_string())?;
-            let mut ctx = LaunchCtx::new(&spec);
-            if let Some(s) = sink.as_ref() {
-                ctx = ctx.with_sink(s);
-            }
-            let r = serve_spec_ctx(&ctx, &serving_cfg, &sc);
+            let r = run(&sc)?;
             let prefix = format!("spec.{}.r{:02}", shape.label(), (rate * 100.0).round());
             r.write_metrics(&mut reg, &prefix);
             reg.gauge_set(

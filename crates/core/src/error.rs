@@ -63,6 +63,28 @@ pub enum SpinferError {
         /// Human-readable description of the violated constraint.
         reason: String,
     },
+    /// A serving workload that cannot be simulated meaningfully (a zero
+    /// batch cap, a non-positive arrival rate or horizon, an empty
+    /// prompt, ...). The reason names the offending field.
+    InvalidServing {
+        /// Human-readable description of the violated constraint.
+        reason: String,
+    },
+    /// The deployment cannot hold weights plus the KV cache of even one
+    /// request (e.g. dense OPT-13B on a single 24 GB GPU).
+    CannotFit {
+        /// Model name.
+        model: String,
+        /// Framework serving it.
+        framework: String,
+        /// Tensor-parallel degree.
+        tp: usize,
+        /// GPU name.
+        gpu: String,
+        /// Extra KV slots per request for the speculative candidate
+        /// tree (0 for incremental decode).
+        tree_nodes: usize,
+    },
     /// A speculative-decoding configuration that cannot be simulated
     /// (an out-of-range acceptance rate or speculative share, an
     /// oversized tree budget, ...). The reason names the offending
@@ -297,6 +319,25 @@ impl std::fmt::Display for SpinferError {
             SpinferError::InvalidCluster { reason } => {
                 write!(f, "invalid cluster config: {reason}")
             }
+            SpinferError::InvalidServing { reason } => {
+                write!(f, "invalid serving config: {reason}")
+            }
+            SpinferError::CannotFit {
+                model,
+                framework,
+                tp,
+                gpu,
+                tree_nodes,
+            } => {
+                write!(
+                    f,
+                    "{model} via {framework} on {tp}x{gpu} cannot fit a single request"
+                )?;
+                if *tree_nodes > 0 {
+                    write!(f, " with a {tree_nodes}-node tree")?;
+                }
+                Ok(())
+            }
             SpinferError::InvalidSpec { reason } => {
                 write!(f, "invalid speculative-decoding config: {reason}")
             }
@@ -453,6 +494,16 @@ mod tests {
             SpinferError::InvalidCluster {
                 reason: "replicas must be >= 1".to_string(),
             },
+            SpinferError::InvalidServing {
+                reason: "max_batch must be >= 1".to_string(),
+            },
+            SpinferError::CannotFit {
+                model: "OPT-13B".to_string(),
+                framework: "FasterTransformer".to_string(),
+                tp: 1,
+                gpu: "RTX4090".to_string(),
+                tree_nodes: 8,
+            },
             SpinferError::InvalidSpec {
                 reason: "acceptance_rate must be in [0, 1]".to_string(),
             },
@@ -480,6 +531,10 @@ mod tests {
                 SpinferError::EmptyLengthMix => "at least one (input, output) profile",
                 SpinferError::DegenerateDisagg { .. } => "prefill 0, decode 8",
                 SpinferError::InvalidCluster { .. } => "replicas must be >= 1",
+                SpinferError::InvalidServing { .. } => "serving config: max_batch must be >= 1",
+                SpinferError::CannotFit { .. } => {
+                    "OPT-13B via FasterTransformer on 1xRTX4090 cannot fit a single request with a 8-node tree"
+                }
                 SpinferError::InvalidSpec { .. } => "acceptance_rate must be in [0, 1]",
                 SpinferError::Integrity(i) => match i {
                     IntegrityError::OffsetCount { .. } => "4 entries",
@@ -501,6 +556,34 @@ mod tests {
             };
             assert!(text.contains(token), "{text:?} missing {token:?}");
         }
+    }
+
+    #[test]
+    fn invalid_serving_displays_the_offending_field() {
+        let invalid = SpinferError::InvalidServing {
+            reason: "arrival_rps must be > 0".to_string(),
+        };
+        assert_eq!(
+            invalid.to_string(),
+            "invalid serving config: arrival_rps must be > 0"
+        );
+    }
+
+    #[test]
+    fn cannot_fit_displays_the_deployment() {
+        // Incremental decode holds no candidate slots: the tree clause
+        // is omitted.
+        let incremental = SpinferError::CannotFit {
+            model: "OPT-13B".to_string(),
+            framework: "FasterTransformer".to_string(),
+            tp: 1,
+            gpu: "RTX4090".to_string(),
+            tree_nodes: 0,
+        };
+        assert_eq!(
+            incremental.to_string(),
+            "OPT-13B via FasterTransformer on 1xRTX4090 cannot fit a single request"
+        );
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Fleet-scale serving simulation with resilience as the headline.
 //!
-//! Composes the single-replica serving pieces — the iteration-level
-//! batching loop of [`crate::serving`], the tensor-parallel cost model
-//! of [`crate::parallel`], and the per-step costs of [`crate::engine`]
-//! — into N replicas behind a router, on one discrete-event simulated
-//! clock. The interesting part is what goes wrong:
+//! Runs N replicas behind a router on one discrete-event simulated
+//! clock. Each replica batches at iteration level like
+//! [`crate::serving`] and shares its step machinery: steps are planned
+//! by [`plan_step`] (incremental decode is the empty-tree plan),
+//! committed by [`TreeVerifier::commit`], and priced by the same
+//! `StepPricer`, whose memoised costs and KV admission caps are keyed by
+//! framework so a replica can walk the degradation ladder. The
+//! interesting part is what goes wrong:
 //!
 //! * a [`ClusterFaultPlan`] injects replica crashes, slow-node
 //!   degradation, and transient launch failures, all site-keyed off one
@@ -24,6 +27,16 @@
 //! across `--jobs 1/2/8`. Events past the simulation horizon are
 //! dropped (the heap is a min-heap on time, so the loop just stops),
 //! which also bounds retry storms under pathological fault rates.
+//!
+//! [`crate::serving::serve`] is not (yet) a one-replica fleet. The two
+//! engines share the step pricer but differ in three modelled ways:
+//! `serve` spaces arrivals deterministically where the fleet draws
+//! seeded exponential gaps; `serve` charges each prefill as it admits
+//! the request where the fleet folds admissions into the next step; and
+//! `serve` counts the token being decoded in its attention context
+//! (`input_len + generated + 1`) where the fleet does not. Folding one
+//! into the other would move simulated outputs that tests and the
+//! benchmark read.
 
 mod fault;
 mod retry;
@@ -33,7 +46,7 @@ pub use fault::ClusterFaultPlan;
 pub use retry::RetryPolicy;
 pub use router::{route, ReplicaView, RouterPolicy};
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use gpu_sim::fault::site_u01;
 use gpu_sim::spec::GpuSpec;
@@ -42,10 +55,9 @@ use spinfer_core::SpinferError;
 use spinfer_obs::metrics::{percentile_sorted, Registry};
 
 use crate::config::ModelConfig;
-use crate::engine::{decode_overhead_sec, linear_pass_sec};
 use crate::frameworks::{framework_for_kernel, Framework};
-use crate::serving::{concurrency_cap, LengthMix};
-use crate::spec::{SpecConfig, TreeVerifier};
+use crate::serving::{workload_violation, LengthMix, StepPricer};
+use crate::spec::{plan_step, SpecConfig, SpecStats, TreeVerifier};
 
 /// Arrival-process salt, disjoint from the fault-site salts.
 const SALT_ARRIVAL: u64 = 0x1bbc_d8c2_f5e5_4a91;
@@ -224,14 +236,15 @@ impl ClusterConfig {
         if self.replicas == 0 {
             return invalid("replicas must be >= 1");
         }
-        if self.max_batch == 0 {
-            return invalid("max_batch must be >= 1");
-        }
-        if self.duration_sec <= 0.0 || self.duration_sec.is_nan() {
-            return invalid("duration_sec must be > 0");
-        }
-        if self.arrival_rps <= 0.0 || self.arrival_rps.is_nan() {
-            return invalid("arrival_rps must be > 0");
+        if let Some(reason) = workload_violation(
+            self.tp,
+            self.max_batch,
+            self.arrival_rps,
+            self.duration_sec,
+            self.input_len,
+            &self.mix,
+        ) {
+            return invalid(reason);
         }
         if self.deadline_sec <= 0.0 || self.deadline_sec.is_nan() {
             return invalid("deadline_sec must be > 0");
@@ -443,51 +456,27 @@ struct Replica {
     latencies: Vec<f64>,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct Counts {
-    arrivals: u64,
-    completed: u64,
-    completed_in_slo: u64,
-    failed: u64,
-    retries: u64,
-    shed: u64,
-    timeouts: u64,
-    crashes: u64,
-    recoveries: u64,
-    launch_faults: u64,
-    slow_steps: u64,
-    degrade_escalations: u64,
-    degrade_deescalations: u64,
-    degraded_rejects: u64,
-    routed_to_down: u64,
-    spec_requests: u64,
-    spec_steps: u64,
-    spec_proposed: u64,
-    spec_accepted: u64,
-    spec_bonus: u64,
-    spec_rolled_back: u64,
-}
-
 struct Sim<'a> {
-    spec: &'a GpuSpec,
     cfg: &'a ClusterConfig,
     plan: ClusterFaultPlan,
     fallback_fw: Option<Framework>,
-    // Present only when the config's speculation is armed (non-empty
-    // tree, positive share), so `spec: None` and the degenerate config
-    // run the identical code path.
-    verifier: Option<TreeVerifier>,
-    caps: HashMap<Framework, usize>,
-    linear_cache: HashMap<(Framework, usize), f64>,
-    prefill_cache: HashMap<(Framework, usize), f64>,
-    draft_cache: HashMap<(Framework, usize), f64>,
+    // Built from the degenerate config when speculation is off, so
+    // `spec: None` and the degenerate config run the identical path.
+    verifier: TreeVerifier,
+    // KV slots each sequence holds for its candidate tree: the tree's
+    // node count while speculation is armed, otherwise zero.
+    tree_kv: usize,
+    pricer: StepPricer<'a>,
     replicas: Vec<Replica>,
     reqs: Vec<Req>,
     heap: BinaryHeap<Scheduled>,
     seq: u64,
     cursor: usize,
     sink: Option<&'a TraceSink>,
-    c: Counts,
+    // The report's counters accumulate in place; `report` derives the
+    // rest (ratios, percentiles, per-replica summaries, the spec ledger).
+    c: ClusterReport,
+    spec_stats: SpecStats,
     latencies: Vec<f64>,
 }
 
@@ -499,35 +488,24 @@ impl<'a> Sim<'a> {
         fallback_fw: Option<Framework>,
         sink: Option<&'a TraceSink>,
     ) -> Self {
-        let verifier = cfg
-            .spec
-            .as_ref()
-            .map(TreeVerifier::new)
-            .filter(TreeVerifier::armed);
+        let spec_cfg = cfg.spec.unwrap_or_else(SpecConfig::degenerate);
+        let verifier = TreeVerifier::new(&spec_cfg);
         // Speculative replicas hold each candidate tree's KV entries
         // between draft and rollback; the cap sizes for them.
-        let tree_nodes = verifier.as_ref().map_or(0, |v| v.tree().nodes());
+        let tree_kv = if verifier.armed() {
+            verifier.tree().nodes()
+        } else {
+            0
+        };
         let (max_in, max_out) = cfg.mix.max_lengths((cfg.input_len, cfg.output_len));
-        let mut caps = HashMap::new();
-        let mut fws = vec![cfg.framework];
-        if cfg.degradation.int8_precision && cfg.framework == Framework::SpInfer {
-            fws.push(Framework::SpInferInt8);
-        }
-        if let Some(f) = fallback_fw {
-            fws.push(f);
-        }
-        for fw in fws {
-            caps.entry(fw).or_insert_with(|| {
-                concurrency_cap(
-                    spec,
-                    &cfg.model,
-                    fw,
-                    cfg.sparsity,
-                    cfg.tp,
-                    max_in + max_out + tree_nodes,
-                )
-            });
-        }
+        let pricer = StepPricer::new(
+            spec,
+            &cfg.model,
+            cfg.sparsity,
+            cfg.tp,
+            max_in + max_out,
+            &spec_cfg,
+        );
         let replicas = vec![
             Replica {
                 up: true,
@@ -543,22 +521,20 @@ impl<'a> Sim<'a> {
             sink.name_track(Self::router_track(cfg.replicas), "cluster", "router");
         }
         Sim {
-            spec,
             cfg,
             plan,
             fallback_fw,
             verifier,
-            caps,
-            linear_cache: HashMap::new(),
-            prefill_cache: HashMap::new(),
-            draft_cache: HashMap::new(),
+            tree_kv,
+            pricer,
             replicas,
             reqs: Vec::new(),
             heap: BinaryHeap::new(),
             seq: 0,
             cursor: 0,
             sink,
-            c: Counts::default(),
+            c: ClusterReport::default(),
+            spec_stats: SpecStats::default(),
             latencies: Vec::new(),
         }
     }
@@ -595,71 +571,9 @@ impl<'a> Sim<'a> {
         }
     }
 
-    // -- cost model -----------------------------------------------------
-
-    fn linear_sec(&mut self, fw: Framework, n: usize) -> f64 {
-        let cfg = self.cfg;
-        *self
-            .linear_cache
-            .entry((fw, n))
-            .or_insert_with(|| linear_pass_sec(self.spec, &cfg.model, fw, cfg.sparsity, cfg.tp, n))
-    }
-
-    fn prefill_sec(&mut self, fw: Framework, input_len: usize) -> f64 {
-        if let Some(&t) = self.prefill_cache.get(&(fw, input_len)) {
-            return t;
-        }
-        let cfg = self.cfg;
-        let t = self.linear_sec(fw, input_len)
-            + decode_overhead_sec(self.spec, &cfg.model, fw, cfg.tp, 1, input_len);
-        self.prefill_cache.insert((fw, input_len), t);
-        t
-    }
-
-    /// One decode iteration: the linear passes run at `verify_n` wide
-    /// (the batch plus any folded candidate tokens), attention/overhead
-    /// at the batch's attributed context. Incremental decode is the
-    /// `verify_n == batch` case.
-    fn decode_iter_sec(
-        &mut self,
-        fw: Framework,
-        batch: usize,
-        verify_n: usize,
-        sum_ctx: usize,
-    ) -> f64 {
-        let cfg = self.cfg;
-        self.linear_sec(fw, verify_n)
-            + decode_overhead_sec(self.spec, &cfg.model, fw, cfg.tp, batch, sum_ctx)
-    }
-
-    /// Draft-model seconds for `spec_batch` speculative requests at this
-    /// replica's effective framework; exactly `0.0` when nothing drafts.
-    fn draft_sec(&mut self, fw: Framework, spec_batch: usize) -> f64 {
-        let Some(v) = &self.verifier else {
-            return 0.0;
-        };
-        if spec_batch == 0 {
-            return 0.0;
-        }
-        let cfg = self.cfg;
-        let gpu = self.spec;
-        let draft = cfg.spec.as_ref().expect("verifier implies spec").draft;
-        *self.draft_cache.entry((fw, spec_batch)).or_insert_with(|| {
-            draft.propose_sec(
-                gpu,
-                &cfg.model,
-                fw,
-                cfg.sparsity,
-                cfg.tp,
-                spec_batch,
-                v.tree(),
-            )
-        })
-    }
-
     /// Effective (framework, batch) at a replica's current ladder rung,
     /// clamped by the KV concurrency cap when the guard is on.
-    fn effective(&self, r: usize) -> (Framework, usize) {
+    fn effective(&mut self, r: usize) -> (Framework, usize) {
         let level = self.replicas[r].level;
         let mut fw = self.cfg.framework;
         let mut batch = self.cfg.max_batch;
@@ -677,7 +591,7 @@ impl<'a> Sim<'a> {
             }
         }
         if self.cfg.admission.kv_guard {
-            batch = batch.min(*self.caps.get(&fw).unwrap_or(&batch));
+            batch = batch.min(self.pricer.cap(fw, self.tree_kv));
         }
         (fw, batch)
     }
@@ -845,32 +759,21 @@ impl<'a> Sim<'a> {
             return;
         }
 
-        let batch = self.replicas[r].running.len();
-        // Fold each request's verify width and attributed KV context:
-        // speculative requests contribute their whole candidate tree,
-        // plain requests one token and their base context. Without an
-        // armed verifier this is exactly the incremental plan.
-        let mut verify_n = 0usize;
-        let mut sum_ctx = 0usize;
-        let mut spec_batch = 0usize;
-        for &id in &self.replicas[r].running {
-            let q = &self.reqs[id as usize];
-            let base = q.input_len + q.generated;
-            match &self.verifier {
-                Some(v) if q.speculative => {
-                    spec_batch += 1;
-                    verify_n += v.tree().verify_tokens_per_request();
-                    sum_ctx += v.tree().attributed_ctx(base);
-                }
-                _ => {
-                    verify_n += 1;
-                    sum_ctx += base;
-                }
-            }
-        }
-        let mut prefill: f64 = admitted_lens.iter().map(|&n| self.prefill_sec(fw, n)).sum();
-        let mut decode =
-            self.decode_iter_sec(fw, batch, verify_n, sum_ctx) + self.draft_sec(fw, spec_batch);
+        // The fleet's base context is `input_len + generated`: unlike the
+        // serving loop it does not count the token being decoded.
+        let reqs = &self.reqs;
+        let step = plan_step(
+            self.replicas[r].running.iter().map(|&id| {
+                let q = &reqs[id as usize];
+                (q.speculative, q.input_len + q.generated)
+            }),
+            self.verifier.tree(),
+        );
+        let mut prefill: f64 = admitted_lens
+            .iter()
+            .map(|&n| self.pricer.prefill(fw, n))
+            .sum();
+        let mut decode = self.pricer.verify(fw, &step) + self.pricer.draft(fw, step.spec_batch);
         if self.plan.slow(r, tick) {
             let f = self.plan.slow_factor.max(1.0);
             prefill *= f;
@@ -917,23 +820,16 @@ impl<'a> Sim<'a> {
             // commit their accepted prefix plus the bonus token and
             // roll rejected candidates back; plain requests commit one.
             let running = std::mem::take(&mut self.replicas[r].running);
-            let mut spec_in_step = 0u64;
+            let bonus_before = self.spec_stats.bonus;
             for id in running {
-                let commit = match &self.verifier {
-                    Some(v) if self.reqs[id as usize].speculative => {
-                        let q = &self.reqs[id as usize];
-                        let o = v.outcome(id, q.generated as u64, q.output_len - q.generated);
-                        spec_in_step += 1;
-                        self.c.spec_proposed += v.tree().nodes() as u64;
-                        self.c.spec_accepted += o.accepted as u64;
-                        self.c.spec_bonus += 1;
-                        self.c.spec_rolled_back += o.rolled_back as u64;
-                        o.committed
-                    }
-                    _ => 1,
-                };
                 let req = &mut self.reqs[id as usize];
-                req.generated += commit;
+                req.generated += self.verifier.commit(
+                    &mut self.spec_stats,
+                    id,
+                    req.speculative,
+                    req.generated,
+                    req.output_len,
+                );
                 if req.generated >= req.output_len {
                     req.state = ReqState::Done;
                     let latency = t - req.arrival;
@@ -949,8 +845,8 @@ impl<'a> Sim<'a> {
                     self.replicas[r].running.push(id);
                 }
             }
-            if spec_in_step > 0 {
-                self.c.spec_steps += 1;
+            if self.spec_stats.bonus > bonus_before {
+                self.spec_stats.spec_iterations += 1;
             }
         }
 
@@ -1025,9 +921,9 @@ impl<'a> Sim<'a> {
             .cfg
             .mix
             .lengths(i as usize, (self.cfg.input_len, self.cfg.output_len));
-        let speculative = self.verifier.as_ref().is_some_and(|v| v.speculates(i));
+        let speculative = self.verifier.speculates(i);
         if speculative {
-            self.c.spec_requests += 1;
+            self.spec_stats.spec_requests += 1;
         }
         self.reqs.push(Req {
             arrival: t,
@@ -1101,36 +997,23 @@ impl<'a> Sim<'a> {
                 }
             })
             .collect();
-        let c = self.c;
+        let c = &self.c;
+        let s = self.spec_stats;
         ClusterReport {
-            arrivals: c.arrivals,
-            completed: c.completed,
-            completed_in_slo: c.completed_in_slo,
-            failed: c.failed,
             incomplete: c.arrivals - c.completed - c.failed,
-            retries: c.retries,
-            shed: c.shed,
-            timeouts: c.timeouts,
-            crashes: c.crashes,
-            recoveries: c.recoveries,
-            launch_faults: c.launch_faults,
-            slow_steps: c.slow_steps,
-            degrade_escalations: c.degrade_escalations,
-            degrade_deescalations: c.degrade_deescalations,
-            degraded_rejects: c.degraded_rejects,
-            routed_to_down: c.routed_to_down,
-            spec_requests: c.spec_requests,
-            spec_steps: c.spec_steps,
-            spec_proposed: c.spec_proposed,
-            spec_accepted: c.spec_accepted,
-            spec_bonus: c.spec_bonus,
-            spec_rolled_back: c.spec_rolled_back,
+            spec_requests: s.spec_requests,
+            spec_steps: s.spec_iterations,
+            spec_proposed: s.proposed,
+            spec_accepted: s.accepted,
+            spec_bonus: s.bonus,
+            spec_rolled_back: s.rolled_back,
             goodput_rps: c.completed_in_slo as f64 / self.cfg.duration_sec,
             throughput_rps: c.completed as f64 / self.cfg.duration_sec,
             p50_latency_s: percentile_sorted(&sorted, 0.50),
             p95_latency_s: percentile_sorted(&sorted, 0.95),
             p99_latency_s: percentile_sorted(&sorted, 0.99),
             per_replica,
+            ..c.clone()
         }
     }
 
@@ -1156,19 +1039,17 @@ impl<'a> Sim<'a> {
         reg.counter_add("cluster.routed_to_down", report.routed_to_down);
         // Speculation metrics only exist on speculating fleets — an
         // unarmed run's registry stays byte-identical to pre-spec runs.
-        if self.verifier.is_some() {
+        if self.verifier.armed() {
             reg.counter_add("cluster.spec.requests", report.spec_requests);
             reg.counter_add("cluster.spec.steps", report.spec_steps);
             reg.counter_add("cluster.spec.proposed", report.spec_proposed);
             reg.counter_add("cluster.spec.accepted", report.spec_accepted);
             reg.counter_add("cluster.spec.bonus", report.spec_bonus);
             reg.counter_add("cluster.spec.rolled_back", report.spec_rolled_back);
-            let acc = if report.spec_proposed == 0 {
-                0.0
-            } else {
-                report.spec_accepted as f64 / report.spec_proposed as f64
-            };
-            reg.gauge_set("cluster.spec.acceptance_observed", acc);
+            reg.gauge_set(
+                "cluster.spec.acceptance_observed",
+                self.spec_stats.observed_acceptance(),
+            );
         }
         reg.gauge_set("cluster.goodput_rps", report.goodput_rps);
         reg.gauge_set("cluster.throughput_rps", report.throughput_rps);
@@ -1354,8 +1235,6 @@ mod tests {
         let cfg = smoke_cfg();
         let fallback = cfg.degradation.resolve_fallback().unwrap();
         let mut sim = Sim::new(&spec, &cfg, ClusterFaultPlan::default(), fallback, None);
-        // The INT8 rung's KV cap is pre-sized alongside the primary's.
-        assert!(sim.caps.contains_key(&Framework::SpInferInt8));
         let (fw0, b0) = sim.effective(0);
         assert_eq!(fw0, Framework::SpInfer);
         sim.replicas[0].level = 1;
@@ -1363,8 +1242,13 @@ mod tests {
         assert_eq!(fw1, Framework::SpInfer, "rung 1 only shrinks the batch");
         assert!(b1 <= b0);
         sim.replicas[0].level = 2;
-        let (fw2, _) = sim.effective(0);
+        let (fw2, b2) = sim.effective(0);
         assert_eq!(fw2, Framework::SpInferInt8, "rung 2 drops the payload");
+        // The INT8 rung's batch is clamped by its own KV cap.
+        assert_eq!(
+            b2,
+            (cfg.max_batch / 2).min(sim.pricer.cap(Framework::SpInferInt8, 0))
+        );
         sim.replicas[0].level = 3;
         let (fw3, _) = sim.effective(0);
         assert_eq!(
@@ -1390,7 +1274,6 @@ mod tests {
         };
         let fallback = cfg.degradation.resolve_fallback().unwrap();
         let mut sim = Sim::new(&spec, &cfg, ClusterFaultPlan::default(), fallback, None);
-        assert!(!sim.caps.contains_key(&Framework::SpInferInt8));
         sim.replicas[0].level = 2;
         let (fw2, _) = sim.effective(0);
         assert_eq!(fw2, Framework::SpInfer, "rung 2 is a no-op when opted out");

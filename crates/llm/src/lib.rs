@@ -32,8 +32,5 @@ pub use config::{LayerMatrix, ModelConfig};
 pub use engine::{simulate, simulate_ctx, InferenceConfig, InferenceReport};
 pub use frameworks::{framework_for_kernel, Framework};
 pub use memory::{footprint, MemoryReport};
-pub use serving::{
-    serve, serve_checked, serve_spec, serve_spec_checked, serve_spec_ctx, serve_with, LengthMix,
-    ServingConfig, ServingReport,
-};
+pub use serving::{serve, serve_spec, serve_spec_ctx, LengthMix, ServingConfig, ServingReport};
 pub use spec::{DraftModel, SpecConfig, SpecServingReport, SpecStats, TreeShape, TreeVerifier};

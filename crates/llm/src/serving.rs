@@ -14,13 +14,16 @@ use crate::config::ModelConfig;
 use crate::engine::{decode_overhead_sec, linear_pass_sec};
 use crate::frameworks::Framework;
 use crate::memory::footprint;
-use crate::spec::{plan_step, SpecConfig, SpecServingReport, SpecStats, TreeVerifier};
+use crate::spec::{
+    plan_step, DraftModel, SpecConfig, SpecServingReport, SpecStats, StepPlan, TokenTree,
+    TreeVerifier,
+};
 use gpu_sim::spec::GpuSpec;
-use gpu_sim::trace::{pids, TraceEvent, TraceSink};
+use gpu_sim::trace::{pids, TraceEvent};
 use spinfer_core::spmm::LaunchCtx;
 use spinfer_core::SpinferError;
 use spinfer_obs::metrics::percentile_sorted;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 /// Request length workload: uniform, or a deterministic round-robin mix
 /// of (input, output) profiles — short chat turns interleaved with long
@@ -94,10 +97,53 @@ pub struct ServingConfig {
 
 impl ServingConfig {
     /// Config-time validation: rejects workloads the serving loop cannot
-    /// run (an empty `RoundRobin` profile list used to panic with a
-    /// divide-by-zero on the profile index).
+    /// run meaningfully. A violated workload check (shared with
+    /// [`crate::ClusterConfig::validate`]) is a typed
+    /// [`SpinferError::InvalidServing`] naming the field; an empty
+    /// `RoundRobin` profile list is [`SpinferError::EmptyLengthMix`].
     pub fn validate(&self) -> Result<(), SpinferError> {
+        if let Some(reason) = workload_violation(
+            self.tp,
+            self.max_batch,
+            self.arrival_rps,
+            self.duration_sec,
+            self.input_len,
+            &self.mix,
+        ) {
+            return Err(SpinferError::InvalidServing {
+                reason: reason.to_string(),
+            });
+        }
         self.mix.validate()
+    }
+}
+
+/// The workload checks a serving scenario and a fleet scenario share:
+/// the violated constraint, or `None`. Each config wraps the reason in
+/// its own typed error. Prompts must be non-empty because prefill is
+/// priced at the prompt length.
+pub(crate) fn workload_violation(
+    tp: usize,
+    max_batch: usize,
+    arrival_rps: f64,
+    duration_sec: f64,
+    input_len: usize,
+    mix: &LengthMix,
+) -> Option<&'static str> {
+    let empty_prompt =
+        input_len == 0 || matches!(mix, LengthMix::RoundRobin(p) if p.iter().any(|&(i, _)| i == 0));
+    if tp == 0 {
+        Some("tp must be >= 1")
+    } else if max_batch == 0 {
+        Some("max_batch must be >= 1")
+    } else if duration_sec <= 0.0 || duration_sec.is_nan() {
+        Some("duration_sec must be > 0")
+    } else if arrival_rps <= 0.0 || arrival_rps.is_nan() {
+        Some("arrival_rps must be > 0")
+    } else if empty_prompt {
+        Some("input_len must be >= 1")
+    } else {
+        None
     }
 }
 
@@ -141,33 +187,17 @@ struct Request {
 }
 
 /// Upper bound on the admission cap search (sequences per GPU).
-pub(crate) const CAP_CEILING: usize = 4096;
+const CAP_CEILING: usize = 4096;
 
-/// Maximum concurrent sequences the per-GPU memory supports at full
-/// context (weights + KV for `n` sequences must fit).
+/// Maximum concurrent sequences of `total_len` tokens the per-GPU memory
+/// supports (weights + KV for `n` sequences must fit).
 ///
 /// The KV footprint is monotone in the sequence count, so instead of
 /// probing every `n` up to [`CAP_CEILING`] (thousands of `footprint`
 /// evaluations for roomy deployments) we double until the first OOM
 /// bracket and binary-search inside it: `O(log cap)` probes, same
 /// answer as the linear scan (pinned by a test below).
-fn memory_concurrency_cap(spec: &GpuSpec, cfg: &ServingConfig) -> usize {
-    let (max_in, max_out) = cfg.mix.max_lengths((cfg.input_len, cfg.output_len));
-    concurrency_cap(
-        spec,
-        &cfg.model,
-        cfg.framework,
-        cfg.sparsity,
-        cfg.tp,
-        max_in + max_out,
-    )
-}
-
-/// The doubling + binary-search admission cap behind
-/// [`memory_concurrency_cap`], parameterised on the deployment tuple so
-/// the fleet cluster layer can size per-replica KV headroom with the
-/// same oracle-pinned search.
-pub(crate) fn concurrency_cap(
+fn concurrency_cap(
     spec: &GpuSpec,
     model: &ModelConfig,
     framework: Framework,
@@ -201,6 +231,103 @@ pub(crate) fn concurrency_cap(
     lo
 }
 
+/// The one place a step is priced, for the serving loop and every fleet
+/// replica alike: one deployment (GPU, model, sparsity, tp), the
+/// workload's longest sequence, and the speculation config's draft model
+/// and tree. The framework is a per-call argument because a replica
+/// changes kernels on its degradation ladder; every cost is a pure
+/// function of its key, so memoisation never changes a result.
+pub(crate) struct StepPricer<'a> {
+    spec: &'a GpuSpec,
+    model: &'a ModelConfig,
+    sparsity: f64,
+    tp: usize,
+    max_seq: usize,
+    draft_model: DraftModel,
+    tree: TokenTree,
+    linear: HashMap<(Framework, usize), f64>,
+    draft: HashMap<(Framework, usize), f64>,
+    cap: HashMap<(Framework, usize), usize>,
+}
+
+impl<'a> StepPricer<'a> {
+    /// A pricer for requests of at most `max_seq` prompt + output tokens,
+    /// drafting `spec_cfg`'s tree with its draft model.
+    pub(crate) fn new(
+        spec: &'a GpuSpec,
+        model: &'a ModelConfig,
+        sparsity: f64,
+        tp: usize,
+        max_seq: usize,
+        spec_cfg: &SpecConfig,
+    ) -> Self {
+        StepPricer {
+            spec,
+            model,
+            sparsity,
+            tp,
+            max_seq,
+            draft_model: spec_cfg.draft,
+            tree: spec_cfg.shape.build(),
+            linear: HashMap::new(),
+            draft: HashMap::new(),
+            cap: HashMap::new(),
+        }
+    }
+
+    /// One pass of every linear layer at GEMM width `n`.
+    fn linear(&mut self, fw: Framework, n: usize) -> f64 {
+        let (spec, model, sparsity, tp) = (self.spec, self.model, self.sparsity, self.tp);
+        *self
+            .linear
+            .entry((fw, n))
+            .or_insert_with(|| linear_pass_sec(spec, model, fw, sparsity, tp, n))
+    }
+
+    /// Prefill of one admitted request: a linear pass over its prompt
+    /// (memoised with the decode passes) plus one step's overhead at the
+    /// prompt's context. Prompts are clamped to one token; config
+    /// validation rejects empty ones.
+    pub(crate) fn prefill(&mut self, fw: Framework, len: usize) -> f64 {
+        let len = len.max(1);
+        self.linear(fw, len) + decode_overhead_sec(self.spec, self.model, fw, self.tp, 1, len)
+    }
+
+    /// The verify launch of one decode step: linear passes at the plan's
+    /// folded width, attention and per-layer overhead at its attributed
+    /// context. Incremental decode is the `verify_tokens == batch` plan.
+    pub(crate) fn verify(&mut self, fw: Framework, plan: &StepPlan) -> f64 {
+        self.linear(fw, plan.verify_tokens)
+            + decode_overhead_sec(self.spec, self.model, fw, self.tp, plan.batch, plan.sum_ctx)
+    }
+
+    /// Draft-model seconds to propose the tree for `spec_batch`
+    /// speculative requests; exactly `0.0` when nothing drafts.
+    pub(crate) fn draft(&mut self, fw: Framework, spec_batch: usize) -> f64 {
+        if spec_batch == 0 {
+            return 0.0;
+        }
+        let (spec, model, sparsity, tp) = (self.spec, self.model, self.sparsity, self.tp);
+        let (draft_model, tree) = (&self.draft_model, &self.tree);
+        *self.draft.entry((fw, spec_batch)).or_insert_with(|| {
+            draft_model.propose_sec(spec, model, fw, sparsity, tp, spec_batch, tree)
+        })
+    }
+
+    /// KV admission cap: concurrent sequences that fit at the workload's
+    /// longest sequence plus `extra_kv_tokens` per sequence (candidate
+    /// tree slots held between draft and rollback). Zero when not even
+    /// one sequence fits.
+    pub(crate) fn cap(&mut self, fw: Framework, extra_kv_tokens: usize) -> usize {
+        let (spec, model, sparsity, tp) = (self.spec, self.model, self.sparsity, self.tp);
+        let total_len = self.max_seq + extra_kv_tokens;
+        *self
+            .cap
+            .entry((fw, extra_kv_tokens))
+            .or_insert_with(|| concurrency_cap(spec, model, fw, sparsity, tp, total_len))
+    }
+}
+
 impl ServingReport {
     /// p95 over an ascending latency set — nearest-rank, shared with the
     /// observability histogram code so CLI tables and serving reports
@@ -210,208 +337,14 @@ impl ServingReport {
     }
 }
 
-/// Runs the continuous-batching loop.
+/// Runs the continuous-batching loop with one-token incremental decode:
+/// the degenerate token tree of [`serve_spec_ctx`].
 ///
 /// # Panics
 ///
 /// Panics if the model cannot serve even one request on this deployment.
 pub fn serve(spec: &GpuSpec, cfg: &ServingConfig) -> ServingReport {
-    serve_ctx(&LaunchCtx::new(spec), cfg)
-}
-
-/// [`serve`] behind config-time validation: an invalid workload (e.g. a
-/// `RoundRobin` mix with no profiles) comes back as a typed
-/// [`SpinferError`] instead of a panic deep inside the serving loop.
-///
-/// # Panics
-///
-/// Still panics if the (valid) model cannot serve even one request on
-/// this deployment, matching [`serve`].
-pub fn serve_checked(spec: &GpuSpec, cfg: &ServingConfig) -> Result<ServingReport, SpinferError> {
-    cfg.validate()?;
-    Ok(serve_ctx(&LaunchCtx::new(spec), cfg))
-}
-
-/// [`serve`] with optional span recording: each prefill admission and
-/// each decode iteration becomes a span on the serving track,
-/// timestamped on the *serving simulation clock* (seconds → trace µs).
-/// With `sink` absent this is exactly `serve`.
-///
-/// # Panics
-///
-/// Panics if the model cannot serve even one request on this deployment.
-pub fn serve_with(spec: &GpuSpec, cfg: &ServingConfig, sink: Option<&TraceSink>) -> ServingReport {
-    let mut ctx = LaunchCtx::new(spec);
-    if let Some(sink) = sink {
-        ctx = ctx.with_sink(sink);
-    }
-    serve_ctx(&ctx, cfg)
-}
-
-/// The one serving loop behind [`serve`] and [`serve_with`]: the
-/// capability bundle arrives as a [`LaunchCtx`], so serve-time tracing
-/// (and any future seam the context grows) composes without another
-/// `serve_*` variant. A bare context reproduces `serve` bit-identically.
-///
-/// # Panics
-///
-/// Panics if the model cannot serve even one request on this deployment.
-pub fn serve_ctx(ctx: &LaunchCtx<'_>, cfg: &ServingConfig) -> ServingReport {
-    const ENGINE: (u32, u32) = (pids::SERVING, 0);
-    let spec = ctx.spec;
-    let sink = ctx.sink;
-    let mut spans: Vec<TraceEvent> = Vec::new();
-    let mem_cap = memory_concurrency_cap(spec, cfg);
-    assert!(
-        mem_cap >= 1,
-        "{} via {:?} on {}x{} cannot fit a single request",
-        cfg.model.name,
-        cfg.framework,
-        cfg.tp,
-        spec.name
-    );
-    let cap = mem_cap.min(cfg.max_batch).max(1);
-
-    // Memoised per-batch linear pass times (the expensive call).
-    let mut lin_cache: HashMap<usize, f64> = HashMap::new();
-    let mut lin = |n: usize| {
-        *lin_cache.entry(n).or_insert_with(|| {
-            linear_pass_sec(spec, &cfg.model, cfg.framework, cfg.sparsity, cfg.tp, n)
-        })
-    };
-    let mut prefill_cache: HashMap<usize, f64> = HashMap::new();
-    let mut prefill_cost = |tokens: usize| {
-        let tokens = tokens.max(1);
-        *prefill_cache.entry(tokens).or_insert_with(|| {
-            // Per admitted request: a prefill pass over its prompt.
-            linear_pass_sec(
-                spec,
-                &cfg.model,
-                cfg.framework,
-                cfg.sparsity,
-                cfg.tp,
-                tokens,
-            ) + decode_overhead_sec(spec, &cfg.model, cfg.framework, cfg.tp, 1, tokens)
-        })
-    };
-
-    let inter_arrival = 1.0 / cfg.arrival_rps.max(1e-9);
-    let mut next_arrival = 0.0f64;
-    let mut arrived = 0usize;
-    let mut queue: Vec<Request> = Vec::new();
-    let mut running: Vec<Request> = Vec::new();
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut tokens_out = 0usize;
-    let mut now = 0.0f64;
-    let mut batch_sum = 0.0f64;
-    let mut iterations = 0usize;
-    let mut max_concurrency = 0usize;
-
-    while now < cfg.duration_sec {
-        // Admit arrivals up to `now`.
-        while next_arrival <= now {
-            let (input_len, output_len) = cfg.mix.lengths(arrived, (cfg.input_len, cfg.output_len));
-            queue.push(Request {
-                id: arrived as u64,
-                arrival: next_arrival,
-                generated: 0,
-                input_len,
-                output_len,
-                speculative: false,
-            });
-            arrived += 1;
-            next_arrival = inter_arrival * arrived as f64;
-        }
-        // Admit queued requests into the running batch (prefill each).
-        while running.len() < cap && !queue.is_empty() {
-            let r = queue.remove(0);
-            let cost = prefill_cost(r.input_len);
-            if sink.is_some() {
-                spans.push(TraceEvent::span(
-                    ENGINE,
-                    "prefill",
-                    "phase",
-                    now * 1e6,
-                    cost * 1e6,
-                ));
-            }
-            now += cost;
-            running.push(r);
-        }
-        max_concurrency = max_concurrency.max(running.len());
-
-        if running.is_empty() {
-            // Idle until the next arrival.
-            if next_arrival >= cfg.duration_sec {
-                break;
-            }
-            now = next_arrival;
-            continue;
-        }
-
-        // One decode iteration for the whole running batch.
-        let b = running.len();
-        let sum_ctx: usize = running.iter().map(|r| r.input_len + r.generated + 1).sum();
-        let step =
-            lin(b) + decode_overhead_sec(spec, &cfg.model, cfg.framework, cfg.tp, b, sum_ctx);
-        if sink.is_some() {
-            spans.push(
-                TraceEvent::span(ENGINE, "decode_iter", "phase", now * 1e6, step * 1e6)
-                    .with_arg("batch", b as f64),
-            );
-        }
-        now += step;
-        iterations += 1;
-        batch_sum += b as f64;
-        tokens_out += b;
-
-        // Retire finished requests.
-        for r in running.iter_mut() {
-            r.generated += 1;
-        }
-        running.retain(|r| {
-            if r.generated >= r.output_len {
-                latencies.push(now - r.arrival);
-                false
-            } else {
-                true
-            }
-        });
-    }
-
-    if let Some(sink) = sink {
-        sink.name_track(ENGINE, "serving sim (sim µs)", "engine");
-        sink.extend(spans);
-    }
-
-    latencies.sort_by(f64::total_cmp);
-    let completed = latencies.len();
-    let mean = if completed == 0 {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / completed as f64
-    };
-    let p95 = ServingReport::p95_from_sorted(&latencies);
-    ServingReport {
-        completed,
-        in_flight: queue.len() + running.len(),
-        throughput_rps: completed as f64 / now.max(1e-9),
-        tokens_per_sec: tokens_out as f64 / now.max(1e-9),
-        mean_latency_sec: mean,
-        p95_latency_sec: p95,
-        mean_batch: if iterations == 0 {
-            0.0
-        } else {
-            batch_sum / iterations as f64
-        },
-        max_concurrency,
-        iterations,
-        tokens_per_iteration: if iterations == 0 {
-            0.0
-        } else {
-            tokens_out as f64 / iterations as f64
-        },
-    }
+    serve_spec(spec, cfg, &SpecConfig::degenerate()).serving
 }
 
 /// Runs the continuous-batching loop with speculative decoding: requests
@@ -424,42 +357,30 @@ pub fn serve_ctx(ctx: &LaunchCtx<'_>, cfg: &ServingConfig) -> ServingReport {
 /// Panics if the model cannot serve even one request on this deployment
 /// with the candidate tree's extra KV entries.
 pub fn serve_spec(spec: &GpuSpec, cfg: &ServingConfig, spec_cfg: &SpecConfig) -> SpecServingReport {
-    serve_spec_ctx(&LaunchCtx::new(spec), cfg, spec_cfg)
+    serve_spec_ctx(&LaunchCtx::new(spec), cfg, spec_cfg).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`serve_spec`] behind config-time validation of both the workload and
-/// the speculation config.
+/// The one serving loop. Incremental decode is not a separate path: it
+/// is [`SpecConfig::degenerate`], whose empty tree plans every request
+/// at one verify token over its base context and whose free draft adds
+/// nothing. The capability bundle arrives as a [`LaunchCtx`]; a sink
+/// attached with [`LaunchCtx::with_sink`] records each prefill admission
+/// and decode iteration as a span on the serving simulation clock
+/// (seconds → trace µs) without changing the report.
 ///
-/// # Panics
+/// The loop does not validate its inputs — call
+/// [`ServingConfig::validate`] and [`SpecConfig::validate`] first.
 ///
-/// Still panics if the (valid) deployment cannot fit a single request,
-/// matching [`serve_spec`].
-pub fn serve_spec_checked(
-    spec: &GpuSpec,
-    cfg: &ServingConfig,
-    spec_cfg: &SpecConfig,
-) -> Result<SpecServingReport, SpinferError> {
-    cfg.validate()?;
-    spec_cfg.validate()?;
-    Ok(serve_spec_ctx(&LaunchCtx::new(spec), cfg, spec_cfg))
-}
-
-/// The speculative serving loop. It deliberately mirrors [`serve_ctx`]
-/// operation for operation — same admission order, same caches, same
-/// span layout — so that under [`SpecConfig::degenerate`] the report,
-/// the counters, and the recorded trace are bit-identical to the
-/// incremental path: the degenerate plan prices `lin(b)` over the same
-/// `sum_ctx`, and the free draft adds exactly `0.0` seconds.
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics if the model cannot serve even one request on this deployment
-/// with the candidate tree's extra KV entries.
+/// [`SpinferError::CannotFit`] if the model cannot serve even one
+/// request on this deployment with the candidate tree's extra KV
+/// entries.
 pub fn serve_spec_ctx(
     ctx: &LaunchCtx<'_>,
     cfg: &ServingConfig,
     spec_cfg: &SpecConfig,
-) -> SpecServingReport {
+) -> Result<SpecServingReport, SpinferError> {
     const ENGINE: (u32, u32) = (pids::SERVING, 0);
     let spec = ctx.spec;
     let sink = ctx.sink;
@@ -467,70 +388,34 @@ pub fn serve_spec_ctx(
     let verifier = TreeVerifier::new(spec_cfg);
     let tree_nodes = verifier.tree().nodes();
     let draft_tokens_req = spec_cfg.draft.draft_tokens_per_request(verifier.tree());
-    // Admission must also fit each candidate tree's KV entries: every
-    // speculative request holds `nodes` extra cache slots between draft
-    // and rollback. The degenerate tree adds zero, reproducing the
-    // incremental cap exactly.
     let (max_in, max_out) = cfg.mix.max_lengths((cfg.input_len, cfg.output_len));
-    let mem_cap = concurrency_cap(
+    let mut pricer = StepPricer::new(
         spec,
         &cfg.model,
-        cfg.framework,
         cfg.sparsity,
         cfg.tp,
-        max_in + max_out + tree_nodes,
+        max_in + max_out,
+        spec_cfg,
     );
-    assert!(
-        mem_cap >= 1,
-        "{} via {:?} on {}x{} cannot fit a single request with a {}-node tree",
-        cfg.model.name,
-        cfg.framework,
-        cfg.tp,
-        spec.name,
-        tree_nodes
-    );
+    // Admission must also fit each candidate tree's KV entries: every
+    // speculative request holds `nodes` extra cache slots between draft
+    // and rollback. The degenerate tree adds zero.
+    let mem_cap = pricer.cap(cfg.framework, tree_nodes);
+    if mem_cap == 0 {
+        return Err(SpinferError::CannotFit {
+            model: cfg.model.name.to_string(),
+            framework: format!("{:?}", cfg.framework),
+            tp: cfg.tp,
+            gpu: spec.name.to_string(),
+            tree_nodes,
+        });
+    }
     let cap = mem_cap.min(cfg.max_batch).max(1);
-
-    let mut lin_cache: HashMap<usize, f64> = HashMap::new();
-    let mut lin = |n: usize| {
-        *lin_cache.entry(n).or_insert_with(|| {
-            linear_pass_sec(spec, &cfg.model, cfg.framework, cfg.sparsity, cfg.tp, n)
-        })
-    };
-    let mut prefill_cache: HashMap<usize, f64> = HashMap::new();
-    let mut prefill_cost = |tokens: usize| {
-        let tokens = tokens.max(1);
-        *prefill_cache.entry(tokens).or_insert_with(|| {
-            linear_pass_sec(
-                spec,
-                &cfg.model,
-                cfg.framework,
-                cfg.sparsity,
-                cfg.tp,
-                tokens,
-            ) + decode_overhead_sec(spec, &cfg.model, cfg.framework, cfg.tp, 1, tokens)
-        })
-    };
-    // Per-speculative-batch draft cost, memoised like the target passes.
-    let mut draft_cache: HashMap<usize, f64> = HashMap::new();
-    let mut draft_sec_of = |sb: usize| {
-        *draft_cache.entry(sb).or_insert_with(|| {
-            spec_cfg.draft.propose_sec(
-                spec,
-                &cfg.model,
-                cfg.framework,
-                cfg.sparsity,
-                cfg.tp,
-                sb,
-                verifier.tree(),
-            )
-        })
-    };
 
     let inter_arrival = 1.0 / cfg.arrival_rps.max(1e-9);
     let mut next_arrival = 0.0f64;
     let mut arrived = 0usize;
-    let mut queue: Vec<Request> = Vec::new();
+    let mut queue: VecDeque<Request> = VecDeque::new();
     let mut running: Vec<Request> = Vec::new();
     let mut latencies: Vec<f64> = Vec::new();
     let mut tokens_out = 0usize;
@@ -541,10 +426,11 @@ pub fn serve_spec_ctx(
     let mut stats = SpecStats::default();
 
     while now < cfg.duration_sec {
+        // Admit arrivals up to `now`.
         while next_arrival <= now {
             let (input_len, output_len) = cfg.mix.lengths(arrived, (cfg.input_len, cfg.output_len));
             let id = arrived as u64;
-            queue.push(Request {
+            queue.push_back(Request {
                 id,
                 arrival: next_arrival,
                 generated: 0,
@@ -555,9 +441,12 @@ pub fn serve_spec_ctx(
             arrived += 1;
             next_arrival = inter_arrival * arrived as f64;
         }
-        while running.len() < cap && !queue.is_empty() {
-            let r = queue.remove(0);
-            let cost = prefill_cost(r.input_len);
+        // Admit queued requests into the running batch (prefill each).
+        while running.len() < cap {
+            let Some(r) = queue.pop_front() else {
+                break;
+            };
+            let cost = pricer.prefill(cfg.framework, r.input_len);
             if sink.is_some() {
                 spans.push(TraceEvent::span(
                     ENGINE,
@@ -578,6 +467,7 @@ pub fn serve_spec_ctx(
         max_concurrency = max_concurrency.max(running.len());
 
         if running.is_empty() {
+            // Idle until the next arrival.
             if next_arrival >= cfg.duration_sec {
                 break;
             }
@@ -595,9 +485,8 @@ pub fn serve_spec_ctx(
                 .map(|r| (r.speculative, r.input_len + r.generated + 1)),
             verifier.tree(),
         );
-        let draft = draft_sec_of(plan.spec_batch);
-        let verify = lin(plan.verify_tokens)
-            + decode_overhead_sec(spec, &cfg.model, cfg.framework, cfg.tp, b, plan.sum_ctx);
+        let draft = pricer.draft(cfg.framework, plan.spec_batch);
+        let verify = pricer.verify(cfg.framework, &plan);
         let step = draft + verify;
         if sink.is_some() {
             if plan.spec_batch == 0 {
@@ -625,24 +514,12 @@ pub fn serve_spec_ctx(
             stats.spec_iterations += 1;
             stats.draft_sec += draft;
             stats.draft_tokens += (plan.spec_batch * draft_tokens_req) as u64;
-            stats.proposed += (plan.spec_batch * tree_nodes) as u64;
         }
 
-        // Commit: speculative requests take their accepted prefix plus
-        // the bonus token and roll the rejected candidates back out of
-        // the KV cache; plain requests commit one token as before.
         let mut committed_now = 0usize;
         for r in running.iter_mut() {
-            let commit = if r.speculative && tree_nodes > 0 {
-                let remaining = r.output_len - r.generated;
-                let o = verifier.outcome(r.id, r.generated as u64, remaining);
-                stats.accepted += o.accepted as u64;
-                stats.bonus += 1;
-                stats.rolled_back += o.rolled_back as u64;
-                o.committed
-            } else {
-                1
-            };
+            let commit =
+                verifier.commit(&mut stats, r.id, r.speculative, r.generated, r.output_len);
             r.generated += commit;
             committed_now += commit;
         }
@@ -653,6 +530,7 @@ pub fn serve_spec_ctx(
                     .with_arg("committed", committed_now as f64),
             );
         }
+        // Retire finished requests.
         running.retain(|r| {
             if r.generated >= r.output_len {
                 latencies.push(now - r.arrival);
@@ -676,7 +554,14 @@ pub fn serve_spec_ctx(
         latencies.iter().sum::<f64>() / completed as f64
     };
     let p95 = ServingReport::p95_from_sorted(&latencies);
-    SpecServingReport {
+    let per_iteration = |x: f64| {
+        if iterations == 0 {
+            0.0
+        } else {
+            x / iterations as f64
+        }
+    };
+    Ok(SpecServingReport {
         serving: ServingReport {
             completed,
             in_flight: queue.len() + running.len(),
@@ -684,26 +569,43 @@ pub fn serve_spec_ctx(
             tokens_per_sec: tokens_out as f64 / now.max(1e-9),
             mean_latency_sec: mean,
             p95_latency_sec: p95,
-            mean_batch: if iterations == 0 {
-                0.0
-            } else {
-                batch_sum / iterations as f64
-            },
+            mean_batch: per_iteration(batch_sum),
             max_concurrency,
             iterations,
-            tokens_per_iteration: if iterations == 0 {
-                0.0
-            } else {
-                tokens_out as f64 / iterations as f64
-            },
+            tokens_per_iteration: per_iteration(tokens_out as f64),
         },
         stats,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::trace::TraceSink;
+
+    /// The admission cap an incremental run sizes against.
+    fn admission_cap(spec: &GpuSpec, cfg: &ServingConfig) -> usize {
+        let (max_in, max_out) = cfg.mix.max_lengths((cfg.input_len, cfg.output_len));
+        StepPricer::new(
+            spec,
+            &cfg.model,
+            cfg.sparsity,
+            cfg.tp,
+            max_in + max_out,
+            &SpecConfig::degenerate(),
+        )
+        .cap(cfg.framework, 0)
+    }
+
+    /// The incremental (degenerate-tree) loop with `sink` attached.
+    fn traced(spec: &GpuSpec, cfg: &ServingConfig, sink: &TraceSink) -> SpecServingReport {
+        serve_spec_ctx(
+            &LaunchCtx::new(spec).with_sink(sink),
+            cfg,
+            &SpecConfig::degenerate(),
+        )
+        .unwrap()
+    }
 
     fn cfg(framework: Framework, arrival_rps: f64) -> ServingConfig {
         ServingConfig {
@@ -769,7 +671,7 @@ mod tests {
         let r = serve(&spec, &c);
         assert!(r.max_concurrency >= 1);
         assert!(r.max_concurrency <= 32);
-        let cap = memory_concurrency_cap(&spec, &c);
+        let cap = admission_cap(&spec, &c);
         assert!(r.max_concurrency <= cap.min(32));
     }
 
@@ -796,10 +698,7 @@ mod tests {
         c.mix = LengthMix::RoundRobin(vec![]);
         // Config-time validation rejects it...
         assert_eq!(c.validate(), Err(SpinferError::EmptyLengthMix));
-        assert_eq!(
-            serve_checked(&spec, &c).unwrap_err(),
-            SpinferError::EmptyLengthMix
-        );
+        assert_eq!(c.validate().unwrap_err(), SpinferError::EmptyLengthMix);
         // ...and even the unchecked loop no longer divides by zero: the
         // defensive fallback serves the config's uniform lengths.
         let degenerate = serve(&spec, &c);
@@ -809,7 +708,7 @@ mod tests {
         // A populated mix and a Uniform mix both validate.
         assert!(LengthMix::Uniform.validate().is_ok());
         assert!(LengthMix::RoundRobin(vec![(8, 8)]).validate().is_ok());
-        assert!(serve_checked(&spec, &c).is_ok());
+        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -855,7 +754,7 @@ mod tests {
                 let mut c = cfg(fw, 1.0);
                 c.tp = tp;
                 assert_eq!(
-                    memory_concurrency_cap(&spec, &c),
+                    admission_cap(&spec, &c),
                     linear_cap_oracle(&spec, &c),
                     "{fw:?} tp={tp}"
                 );
@@ -864,29 +763,28 @@ mod tests {
         // Mixed lengths size KV for the worst-case profile.
         let mut c = cfg(Framework::SpInfer, 1.0);
         c.mix = LengthMix::RoundRobin(vec![(32, 32), (256, 512)]);
-        assert_eq!(
-            memory_concurrency_cap(&spec, &c),
-            linear_cap_oracle(&spec, &c)
-        );
+        assert_eq!(admission_cap(&spec, &c), linear_cap_oracle(&spec, &c));
     }
 
     #[test]
-    fn serve_ctx_is_the_one_body_behind_both_wrappers() {
+    fn serve_is_the_degenerate_spec_loop() {
         let spec = GpuSpec::rtx4090();
         let c = cfg(Framework::SpInfer, 2.0);
         let plain = serve(&spec, &c);
-        let via_ctx = serve_ctx(&LaunchCtx::new(&spec), &c);
+        let via_ctx = serve_spec_ctx(&LaunchCtx::new(&spec), &c, &SpecConfig::degenerate())
+            .unwrap()
+            .serving;
         assert_eq!(plain.completed, via_ctx.completed);
         assert_eq!(
             plain.tokens_per_sec.to_bits(),
             via_ctx.tokens_per_sec.to_bits()
         );
-        // A sink attached through the context records the same spans as
-        // the `serve_with` wrapper.
-        let s1 = gpu_sim::trace::TraceSink::new();
-        let s2 = gpu_sim::trace::TraceSink::new();
-        serve_with(&spec, &c, Some(&s1));
-        serve_ctx(&LaunchCtx::new(&spec).with_sink(&s2), &c);
+        // A sink attached through the context records the same spans on
+        // every run.
+        let s1 = TraceSink::new();
+        let s2 = TraceSink::new();
+        traced(&spec, &c, &s1);
+        traced(&spec, &c, &s2);
         assert_eq!(s1.finish().events.len(), s2.finish().events.len());
     }
 
@@ -926,17 +824,17 @@ mod tests {
 
     #[test]
     fn degenerate_spec_records_the_incremental_trace() {
-        use gpu_sim::trace::TraceSink;
         let spec = GpuSpec::rtx4090();
         let c = cfg(Framework::SpInfer, 2.0);
         let s_plain = TraceSink::new();
-        serve_with(&spec, &c, Some(&s_plain));
+        traced(&spec, &c, &s_plain);
         let s_spec = TraceSink::new();
         serve_spec_ctx(
             &LaunchCtx::new(&spec).with_sink(&s_spec),
             &c,
             &SpecConfig::degenerate(),
-        );
+        )
+        .unwrap();
         let (a, b) = (s_plain.finish(), s_spec.finish());
         assert_eq!(a.events.len(), b.events.len());
         for (x, y) in a.events.iter().zip(b.events.iter()) {
@@ -1027,12 +925,12 @@ mod tests {
 
     #[test]
     fn traced_serve_matches_untraced_and_covers_the_horizon() {
-        use gpu_sim::trace::{EventKind, TraceSink};
+        use gpu_sim::trace::EventKind;
         let spec = GpuSpec::rtx4090();
         let c = cfg(Framework::SpInfer, 2.0);
         let plain = serve(&spec, &c);
         let sink = TraceSink::new();
-        let traced = serve_with(&spec, &c, Some(&sink));
+        let traced = traced(&spec, &c, &sink).serving;
         // Tracing only records — the report is bit-identical.
         assert_eq!(plain.completed, traced.completed);
         assert_eq!(

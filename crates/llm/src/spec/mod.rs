@@ -9,10 +9,12 @@
 //! kernel wide-N efficiency into end-to-end tokens/s.
 //!
 //! The subsystem is deterministic end to end: the tree topology is a
-//! pure function of its [`TreeShape`], acceptance decisions are pure
-//! seed hashes ([`AcceptanceModel`]), and the serving integration in
-//! [`crate::serving::serve_spec_ctx`] mirrors the incremental loop's
-//! arithmetic so the degenerate config collapses onto it bit-for-bit.
+//! pure function of its [`TreeShape`] and acceptance decisions are pure
+//! seed hashes ([`AcceptanceModel`]). It is also the only decode path:
+//! the LLM is a token-tree verifier, and incremental decode is the
+//! verifier run on [`SpecConfig::degenerate`] — an empty tree and a free
+//! draft. [`crate::serving::serve_spec_ctx`] is the one serving loop,
+//! and [`crate::serving::serve`] is that loop on the degenerate config.
 //!
 //! Module layout: [`tree`] (topology + KV attribution), [`draft`]
 //! (draft-model cost), [`policy`] (acceptance sampler), [`verify`]

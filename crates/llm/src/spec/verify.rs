@@ -8,15 +8,16 @@
 //! site-hashed acceptance draws into per-request commit/rollback
 //! outcomes.
 //!
-//! The planner's arithmetic deliberately mirrors the incremental decode
-//! iteration in [`crate::serving`]: with the degenerate tree every
-//! request contributes 1 verify token and `base` context, so the plan
-//! — and therefore the priced step time — is bit-identical to the
-//! non-speculative path.
+//! Incremental decode is the degenerate case of the same plan, not a
+//! separate path: with an empty tree every request contributes one
+//! verify token and its `base` context, which is exactly a one-token
+//! decode step. The serving loop ([`crate::serving::serve_spec_ctx`])
+//! and every fleet replica plan their steps here and commit through
+//! [`TreeVerifier::commit`].
 
 use super::policy::AcceptanceModel;
 use super::tree::TokenTree;
-use super::SpecConfig;
+use super::{SpecConfig, SpecStats};
 
 /// One decode iteration's launch plan over a mixed batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -33,7 +34,9 @@ pub struct StepPlan {
 
 /// Plans one decode iteration: `requests` yields, per running request,
 /// whether it speculates this step and the `base` context an
-/// incremental step would read for it (`input_len + generated + 1`).
+/// incremental step would read for it (the serving loop counts the
+/// token being decoded, `input_len + generated + 1`; the fleet counts
+/// `input_len + generated`).
 pub fn plan_step<I>(requests: I, tree: &TokenTree) -> StepPlan
 where
     I: IntoIterator<Item = (bool, usize)>,
@@ -120,6 +123,30 @@ impl TreeVerifier {
             committed: accepted + 1,
             rolled_back: self.tree.nodes() - accepted,
         }
+    }
+
+    /// Commits one request's verify step and books it in `stats`. A
+    /// speculative request takes its accepted prefix plus the bonus
+    /// token and rolls the rejected candidates back out of the KV cache;
+    /// a plain request (or any request under an empty tree) commits its
+    /// one token. Returns the tokens committed.
+    pub fn commit(
+        &self,
+        stats: &mut SpecStats,
+        request: u64,
+        speculative: bool,
+        generated: usize,
+        output_len: usize,
+    ) -> usize {
+        if !speculative || self.tree.is_empty() {
+            return 1;
+        }
+        let o = self.outcome(request, generated as u64, output_len - generated);
+        stats.proposed += self.tree.nodes() as u64;
+        stats.accepted += o.accepted as u64;
+        stats.bonus += 1;
+        stats.rolled_back += o.rolled_back as u64;
+        o.committed
     }
 }
 

@@ -24,8 +24,8 @@ use proptest::prelude::*;
 use spinfer_core::spmm::LaunchCtx;
 use spinfer_llm::spec::AcceptanceModel;
 use spinfer_llm::{
-    serve_spec_ctx, serve_with, simulate_cluster, ClusterConfig, LengthMix, ModelConfig,
-    ServingConfig, SpecConfig, TreeShape,
+    serve_spec_ctx, simulate_cluster, ClusterConfig, LengthMix, ModelConfig, ServingConfig,
+    SpecConfig, TreeShape,
 };
 use spinfer_obs::Registry;
 
@@ -49,7 +49,7 @@ fn serving_cfg(arrival_rps: f64) -> ServingConfig {
 fn spec_artifacts(cfg: &ServingConfig, spec_cfg: &SpecConfig) -> (String, String, String) {
     let spec = GpuSpec::rtx4090();
     let sink = TraceSink::new();
-    let report = serve_spec_ctx(&LaunchCtx::new(&spec).with_sink(&sink), cfg, spec_cfg);
+    let report = serve_spec_ctx(&LaunchCtx::new(&spec).with_sink(&sink), cfg, spec_cfg).unwrap();
     let mut reg = Registry::new();
     report.write_metrics(&mut reg, "spec.run");
     (
@@ -65,7 +65,13 @@ fn degenerate_spec_reproduces_incremental_report_and_trace_bytes() {
     let cfg = serving_cfg(4.0);
 
     let sink = TraceSink::new();
-    let incremental = serve_with(&spec, &cfg, Some(&sink));
+    let incremental = serve_spec_ctx(
+        &LaunchCtx::new(&spec).with_sink(&sink),
+        &cfg,
+        &SpecConfig::degenerate(),
+    )
+    .unwrap()
+    .serving;
     let incremental_trace = spinfer_obs::export(&sink.finish());
 
     let sink = TraceSink::new();
@@ -73,7 +79,8 @@ fn degenerate_spec_reproduces_incremental_report_and_trace_bytes() {
         &LaunchCtx::new(&spec).with_sink(&sink),
         &cfg,
         &SpecConfig::degenerate(),
-    );
+    )
+    .unwrap();
     let collapsed_trace = spinfer_obs::export(&sink.finish());
 
     assert_eq!(
