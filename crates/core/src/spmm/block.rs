@@ -1,19 +1,27 @@
-//! The per-thread-block routine and its fault-aware load helpers.
+//! The per-thread-block routine, its fault-aware load helpers, and the
+//! payload points that make it serve both precisions.
 //!
 //! One function — `run_block` — serves the golden, traced, and checked
-//! paths. The merge is free on the golden path by construction:
+//! paths of the FP16 *and* the INT8 kernel. The pipeline (GTile load,
+//! SMBD decode, XTile load, `ldmatrix`, `mma`) is the same for both;
+//! everything that depends on the value payload sits behind
+//! [`BlockPayload`], monomorphised per payload. The merge is free on the
+//! golden path by construction:
 //!
 //! * the fault-aware `_f` hooks (`record_ldgsts_stream_f`,
-//!   `commit_group_f`, `decode_tctile_f32_checked`) collapse to their
-//!   golden counterparts when no injector is attached, recording the
-//!   identical counter stream;
+//!   `commit_group_f`, `decode_tctile_checked`) collapse to their golden
+//!   counterparts when no injector is attached, recording the identical
+//!   counter stream;
 //! * the tracer only *reads* counters at phase boundaries;
 //! * the D1 checksum loop is gated on an armed injector, and the D2/D3
 //!   retry machinery on the checked state — neither executes otherwise.
 
-use crate::error::KernelError;
-use crate::smbd::{decode_tctile_f32, decode_tctile_f32_checked, DecodeFault};
-use crate::tca_bme::{checksum_gtile, TcaBme, TT_DIM};
+use std::ops::{AddAssign, Mul};
+
+use crate::error::{IntegrityError, KernelError};
+use crate::payload::Payload;
+use crate::smbd::{decode_tctile_checked, decode_tctile_golden, DecodeFault};
+use crate::tca_bme::{checksum_gtile, TcaBme, TcaBmeConfig, TcaBmeOf, TT_DIM};
 use gpu_sim::bitops::popc64;
 use gpu_sim::counters::Counters;
 use gpu_sim::fault::{flip_bit_u16, flip_bit_u64, CommitFault, FaultInjector};
@@ -21,11 +29,138 @@ use gpu_sim::fp16::{f16_to_f32_slice, Half};
 use gpu_sim::global::{warp_global_store, warp_ldgsts, warp_ldgsts_f, VAddr};
 use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::shared_memory::warp_ldsm_x4;
-use gpu_sim::tensor_core::{mma_m16n8k16_bslice_ntiles, FragC, MAX_NTILES, MMA_K};
+use gpu_sim::tensor_core::{mma_m16n8k16_bslice_ntiles, FragC, MAX_NTILES, MMA_K, MMA_M, MMA_N};
 use gpu_sim::trace::attribution_weight;
 
 use super::traced::{BlockTracer, TracePhase};
 use super::{FaultPolicy, Geometry, SpinferSpmm, REG_DECODE_EXTRA_INT, REG_DECODE_SHFL};
+
+/// A finished 16×8 `f32` output tile, row-major.
+pub(crate) type OutTile = [[f32; MMA_N]; MMA_M];
+
+/// A decoded 16×16 TCTile: the A operand of one `mma`, in lanes.
+pub(crate) type TcRows<P> = [[<P as BlockPayload>::Lane; MMA_K]; MMA_M];
+
+/// The payload points of the one SpMM block loop: everything `run_block`
+/// and the launch body do differently for FP16 and INT8. Crate-private
+/// and layered on the sealed [`Payload`], implemented for [`Half`] here
+/// and for `i8` in `int8.rs`.
+pub(crate) trait BlockPayload: Payload {
+    /// The encoded container the kernel consumes.
+    type Encoded: Sync;
+    /// Operand lane of the MAC: decoded A rows and the X tile hold this
+    /// (`f32` for FP16, `i32` codes for INT8).
+    type Lane: Copy + Default + Send + Sync + Mul<Output = Self::Lane> + AddAssign;
+    /// One 16×8 accumulator tile the MAC writes.
+    type Acc: Clone + Send;
+    /// An all-zero accumulator tile.
+    const ACC_ZERO: Self::Acc;
+    /// Warp-wide FP instructions the per-GroupTile epilogue spends per
+    /// accumulator tile (the INT8 scale fold; zero for FP16).
+    const FOLD_INSTS_PER_TILE: u64;
+
+    /// The TCA-BME tiles inside the container.
+    fn tiles(w: &Self::Encoded) -> &TcaBmeOf<Self>;
+    /// Structural (and scale) validation of the container.
+    fn validate(w: &Self::Encoded) -> Result<(), IntegrityError>;
+    /// The launch-wide activation scale the X-tile fill quantizes
+    /// against (unused by FP16).
+    fn x_scale(x: &DenseMatrix) -> f32;
+    /// GroupTile `gt`'s weight scale (unused by FP16).
+    fn gt_scale(w: &Self::Encoded, gt: usize) -> f32;
+    /// Widens stored elements to lanes (SMBD halves, fallback values).
+    fn widen(src: &[Self], dst: &mut [Self::Lane]);
+    /// Fills one X-tile row from FP16 activations.
+    fn fill_x(src: &[Half], dst: &mut [Self::Lane], scale_x: f32);
+    /// The batched MAC of one decoded TCTile across adjacent
+    /// accumulator tiles of the X tile `b` (leading dimension `ld`).
+    fn mma(
+        counters: &mut Counters,
+        a: &TcRows<Self>,
+        b: &[Self::Lane],
+        ld: usize,
+        accs: &mut [Self::Acc],
+    );
+    /// The MAC pipe's instruction counter (for the analytic estimator).
+    fn mma_pipe(c: &mut Counters) -> &mut u64;
+    /// Per-GroupTile epilogue: folds the accumulators into `out` with
+    /// the GroupTile's combined scale `factor`.
+    fn fold(counters: &mut Counters, factor: f32, accs: &mut [Self::Acc], out: &mut [OutTile]);
+    /// Adds the 16×8 lanes `src[r * ld + c]` into an accumulator tile.
+    fn acc_add(acc: &mut Self::Acc, src: &[Self::Lane], ld: usize);
+    /// The block's finished output tile `i`.
+    fn out_tile(accs: &[Self::Acc], out: &[OutTile], i: usize) -> OutTile;
+    /// D3: whether a decoded TCTile carries poison the payload can see.
+    fn poisoned(rows: &TcRows<Self>) -> bool;
+    /// Flips `bit` (`0..8 * BYTES`) of this element's little-endian image.
+    fn flip_bit(self, bit: u32) -> Self;
+}
+
+impl BlockPayload for Half {
+    type Encoded = TcaBme;
+    type Lane = f32;
+    type Acc = FragC;
+    const ACC_ZERO: FragC = FragC {
+        regs: [[0.0; 4]; 32],
+    };
+    const FOLD_INSTS_PER_TILE: u64 = 0;
+
+    fn tiles(w: &TcaBme) -> &TcaBme {
+        w
+    }
+
+    fn validate(w: &TcaBme) -> Result<(), IntegrityError> {
+        w.validate()
+    }
+
+    fn x_scale(_x: &DenseMatrix) -> f32 {
+        1.0
+    }
+
+    fn gt_scale(_w: &TcaBme, _gt: usize) -> f32 {
+        1.0
+    }
+
+    fn widen(src: &[Half], dst: &mut [f32]) {
+        f16_to_f32_slice(src, dst);
+    }
+
+    fn fill_x(src: &[Half], dst: &mut [f32], _scale_x: f32) {
+        f16_to_f32_slice(src, dst);
+    }
+
+    fn mma(counters: &mut Counters, a: &TcRows<Self>, b: &[f32], ld: usize, accs: &mut [FragC]) {
+        mma_m16n8k16_bslice_ntiles(counters, a, b, ld, accs);
+    }
+
+    fn mma_pipe(c: &mut Counters) -> &mut u64 {
+        &mut c.mma_insts
+    }
+
+    fn fold(_counters: &mut Counters, _factor: f32, _accs: &mut [FragC], _out: &mut [OutTile]) {}
+
+    fn acc_add(acc: &mut FragC, src: &[f32], ld: usize) {
+        let mut tile = acc.to_tile();
+        for (r, row) in tile.iter_mut().enumerate() {
+            for (c, slot) in row.iter_mut().enumerate() {
+                *slot += src[r * ld + c];
+            }
+        }
+        *acc = FragC::from_tile(|r, c| tile[r][c]);
+    }
+
+    fn out_tile(accs: &[FragC], _out: &[OutTile], i: usize) -> OutTile {
+        accs[i].to_tile()
+    }
+
+    fn poisoned(rows: &TcRows<Self>) -> bool {
+        rows.iter().flatten().any(|v| !v.is_finite())
+    }
+
+    fn flip_bit(self, bit: u32) -> Half {
+        Half::from_bits(flip_bit_u16(self.to_bits(), bit))
+    }
+}
 
 /// Grid coordinates of one block invocation: block row `gty`, N tile
 /// starting at `n0`, GroupTile columns `gx0..gx1`.
@@ -36,14 +171,15 @@ pub(crate) struct BlockGrid {
     pub(crate) gx1: usize,
 }
 
-/// Virtual-address bases and shared-memory layout shared by every block
-/// of a launch.
+/// Virtual-address bases, shared-memory layout, and the activation
+/// scale shared by every block of a launch.
 pub(crate) struct BlockBases {
     pub(crate) values: VAddr,
     pub(crate) bitmaps: VAddr,
     pub(crate) x: VAddr,
     pub(crate) ws: VAddr,
     pub(crate) smem_values: u64,
+    pub(crate) scale_x: f32,
 }
 
 /// Integrity state threaded into checked launches: pristine
@@ -56,22 +192,30 @@ pub(crate) struct CheckedState<'a> {
 /// Reusable per-worker buffers for [`SpinferSpmm::run_block`], hoisted
 /// out of the launch's N/split loops so a worker allocates once and
 /// every block invocation runs allocation-free: the per-warp
-/// accumulators (flat, `warps × n8`), the decode-once `f32` X tile, the
-/// GroupTile shared-memory image under injection, and the per-TCTile
-/// value-offset prefix (`tc_base[tc] = Σ popc64` of preceding bitmaps,
-/// computed once per GroupTile instead of once per warp × TCTile).
-#[derive(Default)]
-pub(crate) struct BlockScratch {
-    accs: Vec<FragC>,
-    xf: Vec<f32>,
+/// accumulators (flat, `warps × n8`), the folded `f32` output tiles
+/// (INT8), the decode-once X tile, the GroupTile shared-memory image
+/// under injection, and the per-TCTile value-offset prefix
+/// (`tc_base[tc] = Σ popc64` of preceding bitmaps, computed once per
+/// GroupTile instead of once per warp × TCTile).
+pub(crate) struct BlockScratch<P: BlockPayload> {
+    accs: Vec<P::Acc>,
+    out: Vec<OutTile>,
+    xt: Vec<P::Lane>,
     bms_img: Vec<u64>,
-    vals_img: Vec<Half>,
+    vals_img: Vec<P>,
     tc_base: Vec<usize>,
 }
 
-impl BlockScratch {
-    pub(crate) fn new() -> Self {
-        Self::default()
+impl<P: BlockPayload> Default for BlockScratch<P> {
+    fn default() -> Self {
+        BlockScratch {
+            accs: Vec::new(),
+            out: Vec::new(),
+            xt: Vec::new(),
+            bms_img: Vec::new(),
+            vals_img: Vec::new(),
+            tc_base: Vec::new(),
+        }
     }
 }
 
@@ -83,19 +227,19 @@ impl SpinferSpmm {
     /// semantics, no integrity work); with it, every hazard becomes a
     /// typed outcome — D1 checksum verification of the landed image with
     /// bounded re-streams, and checked SMBD decode surfacing offset
-    /// overruns (D2) and FP16 poison (D3) with bounded re-decodes. With
-    /// `fault` absent (or unarmed) the counter stream and numerics are
-    /// bit-identical to the golden path: the `_f` hooks collapse to the
-    /// golden functions and no shared-memory image is materialised.
+    /// overruns (D2) and payload poison (D3) with bounded re-decodes.
+    /// With `fault` absent (or unarmed) the counter stream and numerics
+    /// are bit-identical to the golden path: the `_f` hooks collapse to
+    /// the golden functions and no shared-memory image is materialised.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_block(
+    pub(crate) fn run_block<P: BlockPayload>(
         &self,
-        w: &TcaBme,
+        w: &P::Encoded,
         x: &DenseMatrix,
         counters: &mut Counters,
         x_counters: &mut Counters,
         workspace: &mut [f32],
-        scratch: &mut BlockScratch,
+        scratch: &mut BlockScratch<P>,
         geo: &Geometry,
         at: &BlockGrid,
         bases: &BlockBases,
@@ -104,7 +248,8 @@ impl SpinferSpmm {
         mut tracer: Option<&mut BlockTracer>,
     ) -> Result<(), KernelError> {
         let BlockGrid { gty, n0, gx0, gx1 } = *at;
-        let cfg = w.config;
+        let t = P::tiles(w);
+        let cfg = t.config;
         let tt_rows = cfg.tt_rows();
         let tt_cols = cfg.tt_cols();
         let n8 = geo.tile_n / 8;
@@ -126,23 +271,26 @@ impl SpinferSpmm {
         // only (re)allocated on the first block a worker runs.
         let BlockScratch {
             accs,
-            xf,
+            out,
+            xt,
             bms_img,
             vals_img,
             tc_base,
         } = scratch;
         accs.clear();
-        accs.resize(geo.warps * n8, FragC::zero());
+        accs.resize(geo.warps * n8, P::ACC_ZERO);
+        out.clear();
+        out.resize(geo.warps * n8, [[0.0; MMA_N]; MMA_M]);
 
         // Decode-once X tile: the `gt_cols × tile_n` activation window
-        // every warp of this block multiplies, converted to `f32` once
-        // per GroupTile column. All warps and all N-blocks stride into
-        // this buffer directly (`mma_m16n8k16_bslice_ntiles`), replacing
-        // the per-mma `FragB` build that re-decoded each X element
+        // every warp of this block multiplies, widened (FP16) or
+        // quantized (INT8) once per GroupTile column. All warps and all
+        // N-blocks stride into this buffer directly, replacing the
+        // per-mma `FragB` build that re-decoded each X element
         // `warps × 2` times. Out-of-range rows/columns are zero,
         // exactly as the fragment path's predicated accessor produced.
-        xf.clear();
-        xf.resize(cfg.gt_cols * geo.tile_n, 0.0);
+        xt.clear();
+        xt.resize(cfg.gt_cols * geo.tile_n, P::Lane::default());
 
         // Algorithm 1's cp.async discipline: two independent commit groups
         // per iteration (bitmap+sparse, then dense), retired in order with
@@ -152,11 +300,12 @@ impl SpinferSpmm {
         let mut cp_async = gpu_sim::async_copy::AsyncCopyState::new();
         let xh = x.as_slice();
         for gtx in gx0..gx1 {
-            let gt = w.gt_index(gty, gtx);
-            let pristine_vals = w.gtile_values(gt);
-            let pristine_bms = w.gtile_bitmaps(gt);
+            let gt = t.gt_index(gty, gtx);
+            let pristine_vals = t.gtile_values(gt);
+            let pristine_bms = t.gtile_bitmaps(gt);
             let bm_addr = bases.bitmaps + (gt * cfg.bts_per_gt() * 8) as u64;
-            let val_addr = bases.values + (w.gtile_offsets[gt] as u64) * 2;
+            let val_addr = bases.values + u64::from(t.gtile_offsets[gt]) * P::BYTES as u64;
+            let fold_factor = P::gt_scale(w, gt) * bases.scale_x;
             // Injection only matters for this tile when the plan is
             // armed and the tile filter admits it; otherwise the golden
             // path runs against the pristine slices directly.
@@ -186,7 +335,8 @@ impl SpinferSpmm {
                 t.phase(TracePhase::StreamW, counters, x_counters);
             }
 
-            // --- 3. XTile loading (no integrity metadata; golden path) ---
+            // --- 3. XTile loading (FP16 rows for both payloads; no
+            //        integrity metadata; golden path) ---
             stream_x_tile(counters, x_counters, bases.x, gtx, cfg.gt_cols, geo, n0);
             cp_async.issue();
             cp_async.commit_group(); // Dense XTile group.
@@ -199,17 +349,21 @@ impl SpinferSpmm {
             }
 
             // Fill the decode-once X tile for this GroupTile column:
-            // one batch LUT sweep per in-range row, zero-filled tails
-            // for padding rows/columns.
+            // one batch sweep per in-range row, zero-filled tails for
+            // padding rows/columns.
             for kk in 0..cfg.gt_cols {
                 let kr = gtx * cfg.gt_cols + kk;
-                let row = &mut xf[kk * geo.tile_n..(kk + 1) * geo.tile_n];
+                let row = &mut xt[kk * geo.tile_n..(kk + 1) * geo.tile_n];
                 let take = geo.tile_n.min(n.saturating_sub(n0));
                 if kr < x.rows() && take > 0 {
-                    f16_to_f32_slice(&xh[kr * n + n0..kr * n + n0 + take], &mut row[..take]);
-                    row[take..].fill(0.0);
+                    P::fill_x(
+                        &xh[kr * n + n0..kr * n + n0 + take],
+                        &mut row[..take],
+                        bases.scale_x,
+                    );
+                    row[take..].fill(P::Lane::default());
                 } else {
-                    row.fill(0.0);
+                    row.fill(P::Lane::default());
                 }
             }
 
@@ -266,9 +420,10 @@ impl SpinferSpmm {
                 // but guaranteed correct — nothing from the corrupted
                 // image reaches the accumulators.
                 counters.fault_fallbacks += 1;
-                fallback_gtile_product(cfg, pristine_bms, pristine_vals, xf, geo, accs, n8);
+                fallback_gtile_product(cfg, pristine_bms, pristine_vals, xt, geo.tile_n, accs, n8);
                 cp_async.wait_group(0);
                 counters.barriers += 1;
+                P::fold(counters, fold_factor, accs, out);
                 if let Some(t) = tracer.as_deref_mut() {
                     // Keep the per-iteration span shape intact: the
                     // host-side fallback has no decode/mma events, so the
@@ -281,7 +436,7 @@ impl SpinferSpmm {
                 }
                 continue;
             }
-            let (bms, vals): (&[u64], &[Half]) = if inject.is_some() {
+            let (bms, vals): (&[u64], &[P]) = if inject.is_some() {
                 (bms_img, vals_img)
             } else {
                 (pristine_bms, pristine_vals)
@@ -321,9 +476,9 @@ impl SpinferSpmm {
                     }
                     let a_rows = match checked {
                         None => {
-                            decode_tctile_f32(counters, &tc_bms, vals, base, bases.smem_values).0
+                            decode_tctile_golden(counters, &tc_bms, vals, base, bases.smem_values).0
                         }
-                        Some(chk) => self.decode_tctile_checked(
+                        Some(chk) => decode_with_retry(
                             counters,
                             DecodeSite {
                                 gt,
@@ -354,10 +509,10 @@ impl SpinferSpmm {
                         dec_w += now - wmark;
                         wmark = now;
                     }
-                    self.mma_row(
+                    mma_row::<P>(
                         counters,
-                        xf,
-                        geo,
+                        xt,
+                        geo.tile_n,
                         ttx,
                         &a_rows,
                         &mut accs[warp * n8..(warp + 1) * n8],
@@ -372,9 +527,11 @@ impl SpinferSpmm {
             cp_async.wait_group(0);
             // Pipeline bookkeeping (barrier between iterations).
             counters.barriers += 1;
+            // Per-GroupTile epilogue (the INT8 scale fold).
+            P::fold(counters, fold_factor, accs, out);
             if let Some(t) = tracer.as_deref_mut() {
-                // The iteration-end barrier weight folds into the mma
-                // span (it is the pipeline bookkeeping that gates the
+                // The iteration-end barrier and fold weight fold into
+                // the mma span (the pipeline bookkeeping that gates the
                 // next wave).
                 let now = attribution_weight(counters) + attribution_weight(x_counters);
                 let residual = now - t.mark - dec_w - mma_w;
@@ -386,16 +543,16 @@ impl SpinferSpmm {
         cp_async.assert_drained();
 
         // --- Epilogue: store accumulators to the reduction workspace ---
-        for (warp, acc_row) in accs.chunks(n8).enumerate() {
+        for warp in 0..geo.warps {
             let tty = warp % tt_rows;
-            for (j, frag) in acc_row.iter().enumerate() {
-                let tile = frag.to_tile();
-                for r in 0..TT_DIM {
+            for j in 0..n8 {
+                let tile = P::out_tile(accs, out, warp * n8 + j);
+                for (r, row) in tile.iter().enumerate() {
                     let gr = gty * cfg.gt_rows + tty * TT_DIM + r;
-                    for c in 0..8 {
+                    for (c, &v) in row.iter().enumerate() {
                         let gc = n0 + j * 8 + c;
                         if gc < geo.n_pad {
-                            workspace[gr * geo.n_pad + gc] += tile[r][c];
+                            workspace[gr * geo.n_pad + gc] += v;
                         }
                     }
                 }
@@ -418,128 +575,114 @@ impl SpinferSpmm {
         }
         Ok(())
     }
+}
 
-    /// Checked SMBD decode of one TCTile with bounded re-decodes (D2,
-    /// D3) and the pristine re-decode fallback. With `inject` absent the
-    /// checked decode collapses to the golden counter stream and
-    /// succeeds on the first attempt.
-    #[allow(clippy::too_many_arguments)]
-    fn decode_tctile_checked(
-        &self,
-        counters: &mut Counters,
-        site: DecodeSite,
-        tc_bms: &[u64; 4],
-        vals: &[Half],
-        base: usize,
-        pristine_bms: &[u64],
-        pristine_vals: &[Half],
-        smem_values: u64,
-        inject: Option<&FaultInjector>,
-        chk: &CheckedState<'_>,
-    ) -> Result<[[f32; MMA_K]; MMA_K], KernelError> {
-        // Distinct per TCTile: BitmapTiles are 8 B apart and a TCTile
-        // owns four of them.
-        let site_key = site.bm_addr + (site.tc_idx * 32) as u64;
-        let mut decoded = None;
-        let mut last_fault: Option<DecodeFault> = None;
-        let mut att: u32 = 0;
-        while decoded.is_none() && att < chk.policy.max_attempts {
-            let inj_a = inject.map(|i| {
-                if att == 0 {
-                    *i
-                } else {
-                    i.reseeded(0x0de0_0000 | u64::from(att))
-                }
-            });
-            match decode_tctile_f32_checked(
-                counters,
-                tc_bms,
-                vals,
-                base,
-                smem_values,
-                inj_a.as_ref(),
-                site_key,
-            ) {
-                Ok((rows, _)) => {
-                    if att > 0 {
-                        counters.faults_recovered += 1;
-                    }
-                    decoded = Some(rows);
-                }
-                Err(f) => {
-                    counters.faults_detected += 1;
-                    last_fault = Some(f);
-                }
+/// Checked SMBD decode of one TCTile with bounded re-decodes (D2, D3)
+/// and the pristine re-decode fallback. With `inject` absent the checked
+/// decode collapses to the golden counter stream and succeeds on the
+/// first attempt. D3 is the payload's poison check: a finiteness scan
+/// for FP16; it always passes for INT8, whose injected poison lands as a
+/// plausible code (the detector-coverage gap documented in DESIGN.md
+/// §14).
+#[allow(clippy::too_many_arguments)]
+fn decode_with_retry<P: BlockPayload>(
+    counters: &mut Counters,
+    site: DecodeSite,
+    tc_bms: &[u64; 4],
+    vals: &[P],
+    base: usize,
+    pristine_bms: &[u64],
+    pristine_vals: &[P],
+    smem_values: u64,
+    inject: Option<&FaultInjector>,
+    chk: &CheckedState<'_>,
+) -> Result<TcRows<P>, KernelError> {
+    // Distinct per TCTile: BitmapTiles are 8 B apart and a TCTile
+    // owns four of them.
+    let site_key = site.bm_addr + (site.tc_idx * 32) as u64;
+    let mut last_fault: Option<DecodeFault> = None;
+    for att in 0..chk.policy.max_attempts {
+        let inj_a = inject.map(|i| {
+            if att == 0 {
+                *i
+            } else {
+                i.reseeded(0x0de0_0000 | u64::from(att))
             }
-            att += 1;
-        }
+        });
+        let decoded = decode_tctile_checked(
+            counters,
+            tc_bms,
+            vals,
+            base,
+            smem_values,
+            inj_a.as_ref(),
+            site_key,
+        );
         match decoded {
-            Some(rows) => Ok(rows),
-            None => {
-                if !chk.policy.fallback {
-                    return Err(match last_fault {
-                        Some(DecodeFault::Overrun { needed, available }) => {
-                            KernelError::DecodeOverrun {
-                                gt: site.gt,
-                                needed,
-                                available,
-                            }
-                        }
-                        Some(DecodeFault::NonFinite) => {
-                            KernelError::NonFiniteDecode { gt: site.gt }
-                        }
-                        None => KernelError::RetryBudgetExhausted {
-                            gt: site.gt,
-                            attempts: chk.policy.max_attempts,
-                        },
-                    });
+            Ok((rows, _)) => {
+                if att > 0 {
+                    counters.faults_recovered += 1;
                 }
-                // Pristine re-decode: the validated encoding cannot
-                // overrun and weights are finite by contract.
-                counters.fault_fallbacks += 1;
-                let pbase: usize = pristine_bms[..site.tc_idx * 4]
-                    .iter()
-                    .map(|&b| popc64(b) as usize)
-                    .sum();
-                let pbms: [u64; 4] = pristine_bms[site.tc_idx * 4..site.tc_idx * 4 + 4]
-                    .try_into()
-                    .expect("pristine bitmaps carry 4 BitmapTiles per TCTile");
-                let (rows, _) =
-                    decode_tctile_f32(counters, &pbms, pristine_vals, pbase, smem_values);
-                Ok(rows)
+                return Ok(rows);
+            }
+            Err(f) => {
+                counters.faults_detected += 1;
+                last_fault = Some(f);
             }
         }
     }
+    if !chk.policy.fallback {
+        return Err(match last_fault {
+            Some(DecodeFault::Overrun { needed, available }) => KernelError::DecodeOverrun {
+                gt: site.gt,
+                needed,
+                available,
+            },
+            Some(DecodeFault::NonFinite) => KernelError::NonFiniteDecode { gt: site.gt },
+            None => KernelError::RetryBudgetExhausted {
+                gt: site.gt,
+                attempts: chk.policy.max_attempts,
+            },
+        });
+    }
+    // Pristine re-decode: the validated encoding cannot overrun and
+    // weights are finite by contract.
+    counters.fault_fallbacks += 1;
+    let pbase: usize = pristine_bms[..site.tc_idx * 4]
+        .iter()
+        .map(|&b| popc64(b) as usize)
+        .sum();
+    let pbms: [u64; 4] = pristine_bms[site.tc_idx * 4..site.tc_idx * 4 + 4]
+        .try_into()
+        .expect("pristine bitmaps carry 4 BitmapTiles per TCTile");
+    Ok(decode_tctile_golden(counters, &pbms, pristine_vals, pbase, smem_values).0)
+}
 
-    /// Tensor Core computation for one decoded TCTile against every n8
-    /// column of the X tile. `xf` is the block's decode-once `f32` X
-    /// tile (leading dimension `tile_n`); `a_rows` the TCTile's
-    /// decode-once A view. The N loop is amortized: one batched sweep
-    /// ([`mma_m16n8k16_bslice_ntiles`]) carries each A row across all
-    /// adjacent accumulator tiles at once — bit-identical to the
-    /// per-tile `mma_m16n8k16_bslice` loop, same counter totals.
-    fn mma_row(
-        &self,
-        counters: &mut Counters,
-        xf: &[f32],
-        geo: &Geometry,
-        ttx: usize,
-        a_rows: &[[f32; MMA_K]; MMA_K],
-        accs: &mut [FragC],
-    ) {
-        let n8 = geo.tile_n / 8;
-        // One ldmatrix.x4 covers two B fragments (16×16 of X).
-        let ldsm_count = n8.div_ceil(2);
-        for _ in 0..ldsm_count {
-            // Conflict-free row-major X tile rows (16 B rows).
-            let rows = gpu_sim::shared_memory::strided_addrs(0, 16);
-            warp_ldsm_x4(counters, &rows);
-        }
-        let k_off = ttx * TT_DIM * geo.tile_n;
-        for (jc, chunk) in accs.chunks_mut(MAX_NTILES).enumerate() {
-            let b = &xf[k_off + jc * MAX_NTILES * 8..];
-            mma_m16n8k16_bslice_ntiles(counters, a_rows, b, geo.tile_n, chunk);
-        }
+/// Tensor Core computation for one decoded TCTile against every n8
+/// column of the X tile. `xt` is the block's decode-once X tile (leading
+/// dimension `tile_n`); `a_rows` the TCTile's decode-once A view. The N
+/// loop is amortized: one batched sweep carries each A row across all
+/// adjacent accumulator tiles at once — bit-identical to the per-tile
+/// loop, same counter totals.
+fn mma_row<P: BlockPayload>(
+    counters: &mut Counters,
+    xt: &[P::Lane],
+    tile_n: usize,
+    ttx: usize,
+    a_rows: &TcRows<P>,
+    accs: &mut [P::Acc],
+) {
+    // One ldmatrix.x4 covers two B fragments (16×16 of X).
+    let ldsm_count = (tile_n / 8).div_ceil(2);
+    for _ in 0..ldsm_count {
+        // Conflict-free row-major X tile rows (16 B rows).
+        let rows = gpu_sim::shared_memory::strided_addrs(0, 16);
+        warp_ldsm_x4(counters, &rows);
+    }
+    let k_off = ttx * TT_DIM * tile_n;
+    for (jc, chunk) in accs.chunks_mut(MAX_NTILES).enumerate() {
+        let b = &xt[k_off + jc * MAX_NTILES * 8..];
+        P::mma(counters, a_rows, b, tile_n, chunk);
     }
 }
 
@@ -590,10 +733,9 @@ pub(crate) fn record_ldgsts_stream_f(
 }
 
 /// Streams one GroupTile column's X tile (FP16 rows of `tile_n`
-/// elements) into shared memory — shared verbatim by the FP16 and INT8
-/// block routines, which both read FP16 activations from global memory
-/// (the INT8 path quantizes after the load).
-pub(crate) fn stream_x_tile(
+/// elements) into shared memory. Both payloads read FP16 activations
+/// from global memory (the INT8 path quantizes after the load).
+fn stream_x_tile(
     counters: &mut Counters,
     x_counters: &mut Counters,
     x_base: VAddr,
@@ -630,18 +772,18 @@ pub(crate) fn stream_x_tile(
 /// With `inject` absent no image is materialised (the buffers are
 /// cleared) and only the golden counter stream is recorded.
 #[allow(clippy::too_many_arguments)]
-fn load_gtile_image(
+fn load_gtile_image<P: BlockPayload>(
     counters: &mut Counters,
     inject: Option<&FaultInjector>,
     pristine_bms: &[u64],
-    pristine_vals: &[Half],
+    pristine_vals: &[P],
     bm_addr: VAddr,
     val_addr: VAddr,
     bms_img: &mut Vec<u64>,
-    vals_img: &mut Vec<Half>,
+    vals_img: &mut Vec<P>,
 ) {
     let bm_bytes = (pristine_bms.len() * 8) as u64;
-    let val_bytes = (pristine_vals.len() * 2) as u64;
+    let val_bytes = (pristine_vals.len() * P::BYTES) as u64;
     bms_img.clear();
     vals_img.clear();
     if inject.is_none() {
@@ -651,77 +793,78 @@ fn load_gtile_image(
     }
     bms_img.extend_from_slice(pristine_bms);
     vals_img.extend_from_slice(pristine_vals);
+    // A flip can land in the tail padding of the last 16 B lane; only
+    // bytes inside the streamed payload reach the image.
     record_ldgsts_stream_f(counters, bm_addr, bm_bytes, inject, &mut |byte, bit| {
-        // A flip can land in the tail padding of the last 16 B lane;
-        // only bytes inside the payload reach the image.
-        let b = byte as usize;
-        if b < bms_img.len() * 8 {
-            let word = b / 8;
-            bms_img[word] = flip_bit_u64(bms_img[word], ((b % 8) as u32) * 8 + bit);
+        if byte < bm_bytes {
+            flip_image_byte(bms_img, vals_img, byte as usize, bit);
         }
     });
     record_ldgsts_stream_f(counters, val_addr, val_bytes, inject, &mut |byte, bit| {
-        let b = byte as usize;
-        if b < vals_img.len() * 2 {
-            let i = b / 2;
-            let flipped = flip_bit_u16(vals_img[i].to_bits(), ((b % 2) as u32) * 8 + bit);
-            vals_img[i] = Half::from_bits(flipped);
-        }
+        flip_image_byte(bms_img, vals_img, (bm_bytes + byte) as usize, bit);
     });
+}
+
+/// Flips `bit` (`0..8`) of byte `b` of a landed GroupTile image laid out
+/// as the bitmap words followed by the value payload; bytes past the
+/// payload never land.
+fn flip_image_byte<P: BlockPayload>(bms_img: &mut [u64], vals_img: &mut [P], b: usize, bit: u32) {
+    let bm_bytes = bms_img.len() * 8;
+    if b < bm_bytes {
+        let word = b / 8;
+        bms_img[word] = flip_bit_u64(bms_img[word], ((b % 8) as u32) * 8 + bit);
+    } else if b - bm_bytes < vals_img.len() * P::BYTES {
+        let v = b - bm_bytes;
+        let i = v / P::BYTES;
+        vals_img[i] = vals_img[i].flip_bit(((v % P::BYTES) as u32) * 8 + bit);
+    }
 }
 
 /// Applies a `cp.async` commit outcome to the GroupTile image. A
 /// corrupt commit flips one byte of the landed payload; a dropped
 /// commit leaves the (zero-initialised) destination stale.
-fn apply_commit_fault(
+fn apply_commit_fault<P: BlockPayload>(
     outcome: CommitFault,
     bms_img: &mut [u64],
-    vals_img: &mut [Half],
+    vals_img: &mut [P],
     armed: bool,
 ) {
     if !armed {
         return;
     }
-    let bm_bytes = bms_img.len() * 8;
-    let total = bm_bytes + vals_img.len() * 2;
+    let total = bms_img.len() * 8 + vals_img.len() * P::BYTES;
     match outcome {
         CommitFault::None => {}
         CommitFault::Corrupt { byte_sel, bit } => {
             if total > 0 {
-                let b = (byte_sel % total as u64) as usize;
-                if b < bm_bytes {
-                    let word = b / 8;
-                    bms_img[word] = flip_bit_u64(bms_img[word], ((b % 8) as u32) * 8 + bit);
-                } else {
-                    let i = (b - bm_bytes) / 2;
-                    let within = (((b - bm_bytes) % 2) as u32) * 8 + bit;
-                    vals_img[i] = Half::from_bits(flip_bit_u16(vals_img[i].to_bits(), within));
-                }
+                flip_image_byte(bms_img, vals_img, (byte_sel % total as u64) as usize, bit);
             }
         }
         CommitFault::Dropped => {
-            bms_img.iter_mut().for_each(|w| *w = 0);
-            vals_img.iter_mut().for_each(|v| *v = Half::ZERO);
+            bms_img.fill(0);
+            vals_img.fill(P::ZERO);
         }
     }
 }
 
 /// Reference scalar product of one GroupTile from its pristine
-/// encoding, accumulated into the block's `FragC` accumulators — the
+/// encoding, accumulated into the block's accumulators — the
 /// guaranteed-correct slow path taken when the retry budget is
 /// exhausted. Walks the bitmaps in packed-value order, so it touches
-/// exactly the encoded non-zeros.
-fn fallback_gtile_product(
-    cfg: crate::tca_bme::TcaBmeConfig,
+/// exactly the encoded non-zeros. The caller runs the payload's fold
+/// afterwards, exactly as on the fast path.
+fn fallback_gtile_product<P: BlockPayload>(
+    cfg: TcaBmeConfig,
     bms: &[u64],
-    vals: &[Half],
-    xf: &[f32],
-    geo: &Geometry,
-    accs: &mut [FragC],
+    vals: &[P],
+    xt: &[P::Lane],
+    tile_n: usize,
+    accs: &mut [P::Acc],
     n8: usize,
 ) {
-    let tile_n = geo.tile_n;
-    let mut contrib = vec![0.0f32; cfg.gt_rows * tile_n];
+    let mut wide = vec![P::Lane::default(); vals.len()];
+    P::widen(vals, &mut wide);
+    let mut contrib = vec![P::Lane::default(); cfg.gt_rows * tile_n];
     let mut vi = 0usize;
     for (bi, &bm) in bms.iter().enumerate() {
         let tc_idx = bi / 4;
@@ -732,13 +875,13 @@ fn fallback_gtile_product(
         let tty = tc_idx % cfg.tt_rows();
         for bit in 0..64 {
             if (bm >> bit) & 1 == 1 {
-                let v = vals[vi].to_f32();
+                let v = wide[vi];
                 vi += 1;
                 let lr = tty * TT_DIM + qr + bit / 8;
                 let lc = ttx * TT_DIM + qc + bit % 8;
-                let xrow = &xf[lc * tile_n..(lc + 1) * tile_n];
+                let xrow = &xt[lc * tile_n..(lc + 1) * tile_n];
                 let dst = &mut contrib[lr * tile_n..(lr + 1) * tile_n];
-                for (d, xv) in dst.iter_mut().zip(xrow) {
+                for (d, &xv) in dst.iter_mut().zip(xrow) {
                     *d += v * xv;
                 }
             }
@@ -746,14 +889,8 @@ fn fallback_gtile_product(
     }
     for (warp, acc_row) in accs.chunks_mut(n8).enumerate() {
         let tty = warp % cfg.tt_rows();
-        for (j, frag) in acc_row.iter_mut().enumerate() {
-            let mut tile = frag.to_tile();
-            for (r, row) in tile.iter_mut().enumerate() {
-                for (c, slot) in row.iter_mut().enumerate() {
-                    *slot += contrib[(tty * TT_DIM + r) * tile_n + j * 8 + c];
-                }
-            }
-            *frag = FragC::from_tile(|r, c| tile[r][c]);
+        for (j, acc) in acc_row.iter_mut().enumerate() {
+            P::acc_add(acc, &contrib[tty * TT_DIM * tile_n + j * 8..], tile_n);
         }
     }
 }

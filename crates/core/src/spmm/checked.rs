@@ -15,7 +15,7 @@ use gpu_sim::matrix::DenseMatrix;
 use gpu_sim::spec::GpuSpec;
 
 use super::launch::LaunchCtx;
-use super::{SpinferSpmm, SpmmRun};
+use super::{SpinferSpmm, SpmmKernel, SpmmRun};
 
 /// Recovery policy for checked runs: how hard to try before giving up
 /// on a GroupTile, and what giving up means.
@@ -82,6 +82,6 @@ impl SpinferSpmm {
         if let Some(f) = fault {
             ctx = ctx.with_fault(f);
         }
-        self.launch_with(&ctx, w, x)
+        self.launch(&ctx, w, x)
     }
 }

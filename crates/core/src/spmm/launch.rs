@@ -1,6 +1,7 @@
 //! The kernel launch abstraction: [`LaunchCtx`], the [`SpmmKernel`]
 //! trait every SpMM backend implements, the object-safe
-//! [`DynSpmmKernel`] wrapper, and `SpinferSpmm`'s unified launch body.
+//! [`DynSpmmKernel`] wrapper, and the unified launch body both SpInfer
+//! payloads run.
 //!
 //! Historically each capability grew its own method variant (`run`,
 //! `run_traced`, `run_checked`, `run_checked_with`, …) and only the
@@ -18,6 +19,7 @@ use crate::tca_bme::TcaBme;
 use gpu_sim::counters::Counters;
 use gpu_sim::exec::{self, CounterShard};
 use gpu_sim::fault::FaultInjector;
+use gpu_sim::fp16::Half;
 use gpu_sim::global::GlobalMemory;
 use gpu_sim::kernel::{LaunchChain, LaunchResult};
 use gpu_sim::matrix::DenseMatrix;
@@ -25,7 +27,7 @@ use gpu_sim::spec::GpuSpec;
 use gpu_sim::timing::L2Reuse;
 use gpu_sim::trace::TraceSink;
 
-use super::block::{BlockBases, BlockGrid, BlockScratch, CheckedState};
+use super::block::{BlockBases, BlockGrid, BlockPayload, BlockScratch, CheckedState};
 use super::traced::{emit_kernel_trace, BlockTracer, TracePhase};
 use super::{kernel_name, FaultPolicy, FormatStats, SpinferSpmm, SpmmRun};
 
@@ -392,7 +394,7 @@ impl SpmmKernel for SpinferSpmm {
         enc: &TcaBme,
         x: &DenseMatrix,
     ) -> Result<SpmmRun, SpinferError> {
-        self.launch_with(ctx, enc, x)
+        self.launch_with::<Half>(ctx, enc, x, kernel_name(self.config.ablation))
     }
 }
 
@@ -405,7 +407,7 @@ impl SpinferSpmm {
     /// Panics if `x.rows() != w.k`.
     pub fn run(&self, spec: &GpuSpec, w: &TcaBme, x: &DenseMatrix) -> SpmmRun {
         assert_eq!(x.rows(), w.k, "X must be K×N");
-        self.launch_with(&LaunchCtx::new(spec), w, x)
+        self.launch(&LaunchCtx::new(spec), w, x)
             .expect("golden-path launch is infallible once dimensions are checked")
     }
 
@@ -433,34 +435,38 @@ impl SpinferSpmm {
         sink: &TraceSink,
     ) -> SpmmRun {
         assert_eq!(x.rows(), w.k, "X must be K×N");
-        self.launch_with(&LaunchCtx::new(spec).with_sink(sink), w, x)
+        self.launch(&LaunchCtx::new(spec).with_sink(sink), w, x)
             .expect("golden-path launch is infallible once dimensions are checked")
     }
 
-    /// The one launch body behind every `SpinferSpmm` entry point.
+    /// The one launch body behind every `SpinferSpmm` and
+    /// `SpinferSpmmInt8` entry point, monomorphised per payload `P` and
+    /// labelled `name` in the launch chain and trace.
     ///
     /// The context decides which arms are live: a checked launch
     /// ([`LaunchCtx::checked`]) validates the container and threads
     /// per-GroupTile checksums into the block routine; a sink threads a
     /// phase tracer. Neither arm costs anything when absent, so the
     /// golden path is bit-identical to the historical `run`.
-    pub(crate) fn launch_with(
+    pub(crate) fn launch_with<P: BlockPayload>(
         &self,
         ctx: &LaunchCtx<'_>,
-        w: &TcaBme,
+        enc: &P::Encoded,
         x: &DenseMatrix,
+        name: &'static str,
     ) -> Result<SpmmRun, SpinferError> {
         let spec = ctx.spec;
+        let w = P::tiles(enc);
         if x.rows() != w.k {
             return Err(SpinferError::DimensionMismatch {
                 expected_k: w.k,
                 got: x.rows(),
             });
         }
-        // Integrity preflight (checked launches only): structural
-        // validation plus pristine per-GroupTile checksums for D1.
+        // Integrity preflight (checked launches only): structural (and
+        // scale) validation plus pristine per-GroupTile checksums for D1.
         let checksums = if ctx.checked() {
-            w.validate()?;
+            P::validate(enc)?;
             w.gtile_checksums()
         } else {
             Vec::new()
@@ -474,24 +480,27 @@ impl SpinferSpmm {
 
         let n = x.cols();
         let stats = FormatStats::from_encoded(w);
-        let geo = self.geometry(spec, &stats, n);
+        let geo = self.geometry::<P>(spec, &stats, n);
 
         // Virtual address space for coalescing analysis.
         let mut gm = GlobalMemory::new();
         let _offsets_base = gm.alloc(4 * w.gtile_offsets.len());
-        let values_base = gm.alloc(2 * w.values.len());
+        let values_base = gm.alloc(P::BYTES * w.values.len());
         let bitmaps_base = gm.alloc(8 * w.bitmaps.len());
         let x_base = gm.alloc(2 * w.k * geo.n_pad);
         let ws_base = gm.alloc(4 * w.m_pad * geo.n_pad * geo.split_k);
 
         // Shared-memory virtual layout within a block (one buffer; the
-        // second buffer has identical bank behaviour).
+        // second buffer has identical bank behaviour), plus the launch's
+        // activation scale — a commutative max reduction for INT8, so
+        // the same at any job count or visit order.
         let bases = BlockBases {
             values: values_base,
             bitmaps: bitmaps_base,
             x: x_base,
             ws: ws_base,
             smem_values: (w.config.bts_per_gt() * 8) as u64,
+            scale_x: P::x_scale(x),
         };
 
         let gtiles_y = w.gtiles_y();
@@ -504,7 +513,7 @@ impl SpinferSpmm {
             geo.split_k,
             slice_len,
             band_len,
-            BlockScratch::new,
+            BlockScratch::<P>::default,
             |block_scratch, scratch, gty| {
                 let mut shard = CounterShard::new();
                 let mut x_shard = CounterShard::new();
@@ -515,7 +524,7 @@ impl SpinferSpmm {
                         let gx0 = split * geo.gtx_per_split;
                         let gx1 = (gx0 + geo.gtx_per_split).min(gtiles_x);
                         self.run_block(
-                            w,
+                            enc,
                             x,
                             shard.counters(),
                             x_shard.counters(),
@@ -543,7 +552,7 @@ impl SpinferSpmm {
 
         let mut chain = LaunchChain::new();
         chain.push(LaunchResult::from_execution(
-            kernel_name(self.config.ablation),
+            name,
             spec,
             self.launch_shape(&geo),
             counters,
@@ -574,7 +583,7 @@ impl SpinferSpmm {
             output[r * n..(r + 1) * n].copy_from_slice(&out_pad[r * geo.n_pad..r * geo.n_pad + n]);
         }
         if let Some(sink) = sink {
-            emit_kernel_trace(sink, self.config.ablation, &chain, &task_spans);
+            emit_kernel_trace(sink, name, &chain, &task_spans);
         }
         Ok(SpmmRun {
             output: Some(output),
@@ -592,7 +601,7 @@ pub(crate) type RowOutcome = (CounterShard, CounterShard, Option<Vec<(TracePhase
 /// trace spans in block-row order.
 pub(crate) type FanOutResult = (Vec<f32>, Counters, Counters, Vec<Vec<(TracePhase, u64)>>);
 
-/// Block-level fan-out shared by the FP16 and INT8 launch bodies (see
+/// Block-level fan-out of the launch body (see
 /// `gpu_sim::exec`): block rows `gty` write disjoint workspace row
 /// bands, so they distribute across host cores. The split-K workspace
 /// (`split_k × slice_len` FP32) is pre-cut into per-(split, gty) bands

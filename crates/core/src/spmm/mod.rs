@@ -24,16 +24,22 @@
 //!
 //! # Module layout
 //!
-//! Every entry point funnels into **one** launch body parameterised by a
-//! [`LaunchCtx`] (capability bundle: device spec, optional fault
-//! injector + recovery policy, optional trace sink):
+//! Every entry point of both payload kernels (`SpinferSpmm` at FP16,
+//! [`SpinferSpmmInt8`] at INT8) funnels into **one** launch body
+//! parameterised by a [`LaunchCtx`] (capability bundle: device spec,
+//! optional fault injector + recovery policy, optional trace sink) and
+//! monomorphised per payload:
 //!
 //! * [`launch`](self) — [`LaunchCtx`], the [`SpmmKernel`] trait shared
 //!   with every baseline, the object-safe [`DynSpmmKernel`] wrapper, and
-//!   the unified `SpinferSpmm` launch body.
-//! * `block` — the single per-thread-block routine (golden, traced, and
-//!   checked arms in one function; the checked arms are no-cost when the
-//!   context carries no injector).
+//!   the unified launch body `launch_with::<P>`.
+//! * `block` — the single per-thread-block routine `run_block::<P>`
+//!   (golden, traced, and checked arms in one function; the checked
+//!   arms are no-cost when the context carries no injector), its
+//!   fault-aware helpers, and the crate-private `BlockPayload` trait
+//!   holding the payload points (operand widening, X-tile fill, MAC,
+//!   epilogue fold, D3 check), implemented for `Half` there.
+//! * `int8` — the INT8 kernel type and the `i8` payload points.
 //! * `checked` — [`FaultPolicy`] and the `run_checked`/`run_checked_with`
 //!   wrappers.
 //! * `traced` — phase attribution and Chrome-trace emission.
@@ -44,6 +50,7 @@ mod int8;
 mod launch;
 mod traced;
 
+pub(crate) use block::{BlockPayload, TcRows};
 pub use checked::FaultPolicy;
 pub use int8::SpinferSpmmInt8;
 pub use launch::{DynEncoded, DynSpmmKernel, LaunchCtx, SpmmKernel};
@@ -230,29 +237,6 @@ pub struct SpinferSpmm {
     pub config: SpmmConfig,
 }
 
-/// Value-payload precision a SpInfer-SpMM variant runs at. The FP16 and
-/// INT8 kernels share the geometry and estimator bodies; this selects
-/// the three places they diverge — stored value width, which Tensor
-/// Core pipe the mma work lands on, and the INT8 scale-fold epilogue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Precision {
-    /// `Half` payloads, FP32-accumulating `mma.f16`.
-    Fp16,
-    /// `i8` codes, i32-accumulating `mma.s8` plus a per-GroupTile scale
-    /// fold into the `f32` accumulators.
-    Int8,
-}
-
-impl Precision {
-    /// Stored bytes per value payload.
-    pub(crate) fn value_bytes(self) -> usize {
-        match self {
-            Precision::Fp16 => 2,
-            Precision::Int8 => 1,
-        }
-    }
-}
-
 /// Geometry shared by the functional and analytic paths.
 pub(crate) struct Geometry {
     pub(crate) tile_n: usize,
@@ -282,16 +266,13 @@ impl SpinferSpmm {
         }
     }
 
-    pub(crate) fn geometry(&self, spec: &GpuSpec, stats: &FormatStats, n: usize) -> Geometry {
-        self.geometry_impl(spec, stats, n, Precision::Fp16)
-    }
-
-    pub(crate) fn geometry_impl(
+    /// Launch geometry for payload `P`: only the stored value width
+    /// (shared-memory sizing) depends on the payload.
+    pub(crate) fn geometry<P: Payload>(
         &self,
         spec: &GpuSpec,
         stats: &FormatStats,
         n: usize,
-        prec: Precision,
     ) -> Geometry {
         let n_pad = n.max(8).div_ceil(8) * 8;
         // Decode-phase batches use up to `max_tile_n`; prefill-scale N
@@ -317,7 +298,7 @@ impl SpinferSpmm {
         // Shared memory: double-buffered bitmaps + values + X tile.
         let bufs = 2usize;
         let bitmap_bytes = stats.config.bts_per_gt() * 8;
-        let value_bytes = stats.max_values_per_gtile * prec.value_bytes();
+        let value_bytes = stats.max_values_per_gtile * P::BYTES;
         let x_bytes = stats.config.gt_cols * tile_n * 2;
         let smem = bufs * (bitmap_bytes + value_bytes + x_bytes);
 
@@ -372,28 +353,21 @@ impl SpinferSpmm {
     /// structure to [`Self::run`] without touching data. Validated against
     /// the functional path in tests.
     pub fn estimate(&self, spec: &GpuSpec, stats: &FormatStats, n: usize) -> SpmmRun {
-        self.estimate_impl(
-            spec,
-            stats,
-            n,
-            Precision::Fp16,
-            kernel_name(self.config.ablation),
-        )
+        self.estimate_with::<Half>(spec, stats, n, kernel_name(self.config.ablation))
     }
 
-    /// The one estimator body behind both precision variants. For FP16
-    /// this is counter-for-counter the historical estimator; INT8 halves
-    /// the stored value traffic, moves the mma work to the `mma.s8`
-    /// pipe, and adds the per-GroupTile scale-fold FP work.
-    pub(crate) fn estimate_impl(
+    /// The one estimator body behind both payloads. For FP16 this is
+    /// counter-for-counter the historical estimator; INT8 halves the
+    /// stored value traffic, moves the mma work to the `mma.s8` pipe, and
+    /// adds the per-GroupTile scale-fold FP work.
+    pub(crate) fn estimate_with<P: BlockPayload>(
         &self,
         spec: &GpuSpec,
         stats: &FormatStats,
         n: usize,
-        prec: Precision,
         name: &'static str,
     ) -> SpmmRun {
-        let geo = self.geometry_impl(spec, stats, n, prec);
+        let geo = self.geometry::<P>(spec, stats, n);
         let cfg = stats.config;
         let ngt = (stats.m_pad / cfg.gt_rows) * (stats.k_pad / cfg.gt_cols);
         let gtiles_y = stats.m_pad / cfg.gt_rows;
@@ -402,7 +376,7 @@ impl SpinferSpmm {
 
         // --- GTile loads (per GroupTile, over all N tiles and splits) ---
         let bm_bytes_gt = (cfg.bts_per_gt() * 8) as u64;
-        let val_bytes_gt = (stats.values_len * prec.value_bytes()) as u64 / ngt as u64;
+        let val_bytes_gt = (stats.values_len * P::BYTES) as u64 / ngt as u64;
         let gt_visits = (ngt * geo.grid_x) as u64;
         // DRAM traffic is capped by wave-level L2 reuse over output tiles;
         // the decode work below still runs once per visit.
@@ -452,19 +426,14 @@ impl SpinferSpmm {
         let ldsm_b = tctile_visits * (n8.div_ceil(2) as u64);
         c.ldsm_insts += ldsm_b;
         c.smem_load_transactions += ldsm_b * 4;
-        match prec {
-            Precision::Fp16 => c.mma_insts += tctile_visits * n8 as u64,
-            Precision::Int8 => c.mma_s8_insts += tctile_visits * n8 as u64,
-        }
+        *P::mma_pipe(&mut c) += tctile_visits * n8 as u64;
         c.insts_issued += ldsm_b + tctile_visits * n8 as u64;
-        if prec == Precision::Int8 {
-            // Per-GroupTile scale fold: each i32 accumulator tile (16×8)
-            // converts and FMAs into the f32 accumulators once per
-            // GroupTile column — 4 warp-wide FP instructions per tile.
-            let fold = gt_visits * (geo.warps * n8 * 4) as u64;
-            c.cuda_fp_insts += fold;
-            c.insts_issued += fold;
-        }
+        // Per-GroupTile epilogue (the INT8 scale fold): each accumulator
+        // tile (16×8) converts and FMAs into the f32 accumulators once
+        // per GroupTile column.
+        let fold = gt_visits * (geo.warps * n8) as u64 * P::FOLD_INSTS_PER_TILE;
+        c.cuda_fp_insts += fold;
+        c.insts_issued += fold;
 
         // --- Epilogue stores ---
         let frag_stores = (gtiles_y * cfg.tt_rows() * geo.grid_x * geo.split_k * n8) as u64 * 2;
@@ -1046,7 +1015,7 @@ mod tests {
         // M=1024 -> 16 block rows only; split-K must kick in.
         let stats = FormatStats::synthetic(1024, 8192, 0.5);
         let kernel = SpinferSpmm::new();
-        let geo = kernel.geometry(&spec, &stats, 16);
+        let geo = kernel.geometry::<Half>(&spec, &stats, 16);
         assert!(geo.split_k > 1, "split_k {}", geo.split_k);
         assert!(geo.grid_blocks >= u64::from(spec.sm_count));
     }

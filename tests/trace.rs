@@ -1,7 +1,7 @@
 //! Trace determinism (see `gpu_sim::trace` and `spinfer_obs`).
 //!
 //! Two invariants, checked end to end through the functional SpInfer
-//! kernel and the host worker pool:
+//! kernels (FP16 and INT8) and the host worker pool:
 //!
 //! 1. **Job-count invariance** — the recorded span stream (names, ids,
 //!    sim-timestamps, post-sort ordering) is a pure function of the
@@ -17,11 +17,11 @@
 //! within 1%.
 
 use gpu_sim::exec;
-use gpu_sim::matrix::{random_dense, random_sparse, ValueDist};
+use gpu_sim::matrix::{random_dense, random_sparse, DenseMatrix, ValueDist};
 use gpu_sim::trace::TraceSink;
 use gpu_sim::GpuSpec;
-use spinfer_core::spmm::LaunchCtx;
-use spinfer_core::{SpinferSpmm, SpmmConfig, TcaBme};
+use spinfer_core::spmm::{DynSpmmKernel, LaunchCtx};
+use spinfer_core::{SpinferSpmm, SpinferSpmmInt8, SpmmConfig};
 use std::sync::Arc;
 
 /// One `#[test]` on purpose: `exec::set_jobs` is process-global (see the
@@ -33,19 +33,33 @@ fn trace_streams_are_job_count_invariant_and_side_effect_free() {
     // path and the reduction launch.
     let w = random_sparse(384, 512, 0.6, ValueDist::Uniform, 7);
     let x = random_dense(512, 16, ValueDist::Uniform, 8);
-    let enc = TcaBme::encode(&w);
-    let kernel = SpinferSpmm {
-        config: SpmmConfig {
-            split_k: 2, // exercise the reduction span
-            ..SpmmConfig::default()
-        },
+    let config = SpmmConfig {
+        split_k: 2, // exercise the reduction span
+        ..SpmmConfig::default()
+    };
+    // Both payloads run the one block loop and emit per-phase traces.
+    for kernel in [
+        DynSpmmKernel::new(SpinferSpmm { config }),
+        DynSpmmKernel::new(SpinferSpmmInt8 { config }),
+    ] {
+        check_trace_stream(&spec, &kernel, &w, &x);
+    }
+}
+
+fn check_trace_stream(spec: &GpuSpec, kernel: &DynSpmmKernel, w: &DenseMatrix, x: &DenseMatrix) {
+    let name = kernel.name();
+    let enc = kernel.encode(w);
+    let launch = |ctx: &LaunchCtx<'_>| {
+        kernel
+            .launch(ctx, &enc, x)
+            .unwrap_or_else(|e| panic!("{name}: launch failed: {e}"))
     };
 
     let traced_at = |jobs: usize| {
         exec::set_jobs(jobs);
         let sink = Arc::new(TraceSink::new());
         exec::set_task_trace(Some(sink.clone()));
-        let run = kernel.run_traced(&spec, &enc, &x, &sink);
+        let run = launch(&LaunchCtx::new(spec).with_sink(&sink));
         exec::set_task_trace(None);
         exec::set_jobs(0);
         (run, sink.finish())
@@ -53,19 +67,25 @@ fn trace_streams_are_job_count_invariant_and_side_effect_free() {
 
     let (run1, t1) = traced_at(1);
     let (run8, t8) = traced_at(8);
-    assert!(!t1.events.is_empty(), "trace recorded nothing");
+    assert!(!t1.events.is_empty(), "{name}: trace recorded nothing");
     // Identical span streams: every event (name, track, timestamp, kind,
     // flow id) and every track label, in the same canonical order.
-    assert_eq!(t1, t8, "trace stream differs between --jobs 1 and 8");
-    assert_eq!(run1.output, run8.output, "traced output differs by jobs");
+    assert_eq!(
+        t1, t8,
+        "{name}: trace stream differs between --jobs 1 and 8"
+    );
+    assert_eq!(
+        run1.output, run8.output,
+        "{name}: traced output differs by jobs"
+    );
     assert_eq!(
         run1.chain.merged_counters(),
         run8.chain.merged_counters(),
-        "traced counters differ by jobs"
+        "{name}: traced counters differ by jobs"
     );
 
     // Off-path neutrality: the sink-free run is bit-identical.
-    let plain = kernel.run(&spec, &enc, &x);
+    let plain = launch(&LaunchCtx::new(spec));
     assert_eq!(plain.output, run1.output);
     assert_eq!(plain.chain.merged_counters(), run1.chain.merged_counters());
     assert_eq!(plain.time_us().to_bits(), run1.time_us().to_bits());
@@ -73,19 +93,19 @@ fn trace_streams_are_job_count_invariant_and_side_effect_free() {
     // A sink that is attached to nothing stays empty — recording is
     // opt-in per call site, there is no ambient collection.
     let idle = TraceSink::new();
-    let _ = kernel.run(&spec, &enc, &x);
+    let _ = launch(&LaunchCtx::new(spec));
     assert!(idle.is_empty(), "unattached sink collected events");
     assert!(idle.finish().events.is_empty());
 
     // Exporter contract on the recorded stream.
     let json = spinfer_obs::export(&t1);
     let stats = spinfer_obs::validate(&json).expect("emitted trace must validate");
-    assert!(stats.spans > 0 && stats.flow_pairs > 0);
+    assert!(stats.spans > 0 && stats.flow_pairs > 0, "{name}: {stats:?}");
     let sim_us = run1.time_us();
     let rel = (stats.phase_total_us - sim_us).abs() / sim_us;
     assert!(
         rel < 0.01,
-        "phase spans sum to {} us, kernel simulated {sim_us} us",
+        "{name}: phase spans sum to {} us, kernel simulated {sim_us} us",
         stats.phase_total_us
     );
     // Round-trip: the validator consumes what the exporter wrote, so the
@@ -98,7 +118,7 @@ fn trace_streams_are_job_count_invariant_and_side_effect_free() {
         .sum();
     assert!(
         (stats.phase_total_us - in_memory).abs() < 1e-6 * in_memory.abs().max(1.0),
-        "validator total {} vs trace total {in_memory}",
+        "{name}: validator total {} vs trace total {in_memory}",
         stats.phase_total_us
     );
 }
