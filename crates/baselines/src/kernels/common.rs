@@ -30,6 +30,13 @@ pub fn check_k(expected_k: usize, x: &DenseMatrix) -> Result<(), SpinferError> {
     Ok(())
 }
 
+/// Expected nonzero count of an `m×k` matrix with i.i.d. element
+/// `sparsity` — what the nnz-driven estimators price in
+/// [`SpmmKernel::estimate_uniform`](spinfer_core::spmm::SpmmKernel::estimate_uniform).
+pub fn uniform_nnz(m: usize, k: usize, sparsity: f64) -> usize {
+    ((m * k) as f64 * (1.0 - sparsity)).round() as usize
+}
+
 /// Structural validation shared by the offset-indexed baseline formats
 /// (CSR row pointers, Tiled-CSL tile offsets, BCSR block-row pointers):
 /// `offsets` must hold `expected_len` entries, be monotonically

@@ -126,6 +126,18 @@ impl SpmmKernel for CublasGemm {
         // reference (see `gpu_sim::exec`).
         Ok(finish_launch(ctx, self.name(), r, enc.par_matmul_ref(x)))
     }
+
+    /// Dense GEMM prices every element, so sparsity is ignored.
+    fn estimate_uniform(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        _sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, m, k, n)
+    }
 }
 
 #[cfg(test)]

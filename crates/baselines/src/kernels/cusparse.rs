@@ -15,7 +15,7 @@
 use crate::formats::csr::Csr;
 use crate::kernels::common::{
     check_k, cuda_fma_work, finish_launch, gather, pad8, single_launch, store_output,
-    stream_ldg_via_rf, validate_offsets,
+    stream_ldg_via_rf, uniform_nnz, validate_offsets,
 };
 use gpu_sim::counters::Counters;
 use gpu_sim::matrix::DenseMatrix;
@@ -129,6 +129,17 @@ impl SpmmKernel for CusparseSpmm {
         // Fanned across host cores; bit-identical to the serial
         // reference (see `gpu_sim::exec`).
         Ok(finish_launch(ctx, self.name(), r, enc.par_spmm_ref(x)))
+    }
+
+    fn estimate_uniform(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, m, k, n, uniform_nnz(m, k, sparsity))
     }
 }
 

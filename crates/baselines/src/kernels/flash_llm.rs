@@ -235,6 +235,17 @@ impl SpmmKernel for FlashLlmSpmm {
             enc.decode().par_matmul_ref(x),
         ))
     }
+
+    fn estimate_uniform(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, &FlashLlmStats::synthetic(m, k, sparsity), n)
+    }
 }
 
 #[cfg(test)]

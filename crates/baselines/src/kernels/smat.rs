@@ -173,6 +173,17 @@ impl SpmmKernel for SmatSpmm {
             enc.decode().par_matmul_ref(x),
         ))
     }
+
+    fn estimate_uniform(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, &SmatStats::synthetic_uniform(m, k, sparsity), n)
+    }
 }
 
 #[cfg(test)]

@@ -203,6 +203,17 @@ impl SpmmKernel for SpartaSpmm {
             enc.decode().par_matmul_ref(x),
         ))
     }
+
+    fn estimate_uniform(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, &SpartaStats::synthetic(m, k, sparsity), n)
+    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! FP16 → f32 LUT conversion, and the setup pipeline (weight
 //! generation + encode) — each next to its retained scalar/serial
 //! oracle, so a regression in either the fast path or the price of
-//! keeping the oracle shows up here before it shows up in
-//! `spinfer snapshot`.
+//! keeping the oracle shows up here before it shows up in the
+//! `perfbench` spmm-hero workload.
 //!
 //! The `simd` feature selects the explicit-SIMD MAC panel; run both
 //! ways to compare:
@@ -178,9 +178,9 @@ fn bench_fp16(c: &mut Criterion) {
 
 /// Setup-pipeline benchmarks: weight generation and the TCA-BME /
 /// CSR encoders, each fast path next to its retained serial oracle —
-/// the host wall-clock the hero `generate+encode` budget gates at
-/// full scale (`spinfer snapshot --budget`), measured here at a shape
-/// small enough for per-PR iteration.
+/// the host wall-clock `perfbench`'s spmm-hero `setup_s` measures at
+/// full scale, measured here at a shape small enough for per-PR
+/// iteration.
 fn bench_setup(c: &mut Criterion) {
     const M: usize = 1024;
     const K: usize = 1024;

@@ -3,7 +3,7 @@
 
 use gpu_sim::GpuSpec;
 use spinfer_bench::sweep::{self, SweepPoint};
-use spinfer_bench::{render_table, save_csv, KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{render_table, save_csv, HERO_K, HERO_M};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -11,16 +11,14 @@ fn main() {
     let spec = GpuSpec::rtx4090();
     let n = 16;
     let kernels = [
-        KernelKind::CublasTc,
-        KernelKind::CuSparse,
-        KernelKind::Sputnik,
-        KernelKind::SparTa,
-        KernelKind::FlashLlm,
-        KernelKind::SpInfer,
+        "cuBLAS_TC",
+        "cuSPARSE",
+        "Sputnik",
+        "SparTA",
+        "Flash-LLM",
+        "SpInfer",
     ];
-    let headers: Vec<&str> = std::iter::once("sparsity")
-        .chain(kernels.iter().map(|k| k.label()))
-        .collect();
+    let headers: Vec<&str> = std::iter::once("sparsity").chain(kernels).collect();
     let sparsities = [0.4, 0.5, 0.6, 0.7, 0.8];
 
     // Fan the (sparsity × kernel) grid across host cores; times come

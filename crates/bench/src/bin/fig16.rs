@@ -3,7 +3,7 @@
 //! up to ~12% slower once the operation turns compute-bound.
 
 use gpu_sim::GpuSpec;
-use spinfer_bench::{render_table, save_csv, KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{render_table, save_csv, time_us, HERO_K, HERO_M};
 
 fn main() {
     let spec = GpuSpec::rtx4090();
@@ -17,8 +17,8 @@ fn main() {
     ];
     let mut rows = Vec::new();
     for &n in &[8usize, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192] {
-        let cb = KernelKind::CublasTc.time_us(&spec, HERO_M, HERO_K, n, s);
-        let sp = KernelKind::SpInfer.time_us(&spec, HERO_M, HERO_K, n, s);
+        let cb = time_us("cuBLAS_TC", &spec, HERO_M, HERO_K, n, s);
+        let sp = time_us("SpInfer", &spec, HERO_M, HERO_K, n, s);
         let regime = if n <= 128 { "decode-ish" } else { "prefill" };
         rows.push(vec![
             n.to_string(),

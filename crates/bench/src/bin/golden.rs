@@ -15,8 +15,10 @@
 use gpu_sim::exec;
 use gpu_sim::matrix::checksum_f32;
 use gpu_sim::GpuSpec;
+use spinfer_baselines::registry;
 use spinfer_bench::sweep::{run_functional, EncodeCache, SweepPoint};
-use spinfer_bench::{KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{HERO_K, HERO_M};
+use spinfer_core::spmm::DynSpmmKernel;
 
 /// The functional golden shape: large enough to cross GroupTile and
 /// split-K boundaries with ragged edges (900 and 720 are not multiples
@@ -24,16 +26,13 @@ use spinfer_bench::{KernelKind, HERO_K, HERO_M};
 /// test run.
 const GOLDEN: (usize, usize, usize, f64, u64) = (900, 720, 20, 0.65, 1234);
 
-fn roster() -> [KernelKind; 7] {
-    [
-        KernelKind::CublasTc,
-        KernelKind::SpInfer,
-        KernelKind::FlashLlm,
-        KernelKind::SparTa,
-        KernelKind::Sputnik,
-        KernelKind::CuSparse,
-        KernelKind::Smat,
-    ]
+/// Every registered kernel but `SpInfer-INT8`, whose pins live in
+/// `tests/golden/spmm_pins.txt`.
+fn roster() -> Vec<DynSpmmKernel> {
+    registry()
+        .into_iter()
+        .filter(|k| k.name() != "SpInfer-INT8")
+        .collect()
 }
 
 fn main() {
@@ -54,7 +53,7 @@ fn main() {
             k,
             n,
             sparsity,
-            kernel,
+            kernel: kernel.name(),
         };
         let run = run_functional(&cache, &spec, &p, seed);
         let digest = run.chain.merged_counters().digest();
@@ -62,7 +61,7 @@ fn main() {
         let checksum = checksum_f32(run.output.as_ref().expect("functional output"));
         println!(
             "    (\"{}\", {:#018x}, {:#018x}, {:#018x}),",
-            kernel.label(),
+            kernel.name(),
             digest,
             time_bits,
             checksum
@@ -75,8 +74,10 @@ fn main() {
     );
     println!("const GOLDEN_HERO_ANALYTIC: [(&str, u64); 7] = [");
     for kernel in roster() {
-        let us = kernel.time_us(&spec, HERO_M, HERO_K, 16, 0.6);
-        println!("    (\"{}\", {:#018x}),", kernel.label(), us.to_bits());
+        let us = kernel
+            .estimate_uniform(&spec, HERO_M, HERO_K, 16, 0.6)
+            .time_us();
+        println!("    (\"{}\", {:#018x}),", kernel.name(), us.to_bits());
     }
     println!("];");
 }

@@ -7,7 +7,7 @@
 //! retargeting (absolute times scale with each part's bandwidth).
 
 use gpu_sim::GpuSpec;
-use spinfer_bench::{render_table, save_csv, KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{render_table, save_csv, time_us, HERO_K, HERO_M};
 
 fn main() {
     let headers = [
@@ -22,10 +22,10 @@ fn main() {
     let mut rows = Vec::new();
     let (n, s) = (16usize, 0.6f64);
     for spec in [GpuSpec::rtx4090(), GpuSpec::a6000(), GpuSpec::a100_like()] {
-        let cb = KernelKind::CublasTc.time_us(&spec, HERO_M, HERO_K, n, s);
-        let sp = KernelKind::SpInfer.time_us(&spec, HERO_M, HERO_K, n, s);
-        let fl = KernelKind::FlashLlm.time_us(&spec, HERO_M, HERO_K, n, s);
-        let st = KernelKind::SparTa.time_us(&spec, HERO_M, HERO_K, n, s);
+        let cb = time_us("cuBLAS_TC", &spec, HERO_M, HERO_K, n, s);
+        let sp = time_us("SpInfer", &spec, HERO_M, HERO_K, n, s);
+        let fl = time_us("Flash-LLM", &spec, HERO_M, HERO_K, n, s);
+        let st = time_us("SparTA", &spec, HERO_M, HERO_K, n, s);
         rows.push(vec![
             spec.name.to_string(),
             format!("{:.0}", spec.dram_bandwidth / 1e9),

@@ -14,15 +14,6 @@
 //! spinfer tune <M> <K> <N> <sparsity> [--gpu G]     autotune the SpInfer kernel
 //! spinfer serve <MODEL> <FW> <TP> <BATCH> <OUT>     end-to-end serving simulation
 //! spinfer generate [TOKENS]                         run the tiny functional model
-//! spinfer snapshot [M K N sparsity] [--gpu G] [--out FILE] [--budget FILE]
-//!                                                   perf snapshot → BENCH_kernels.json;
-//!                                                   overwriting --out FILE appends the
-//!                                                   old measurement to its history;
-//!                                                   --budget fails if the new jobs-1
-//!                                                   wall-clock exceeds the baseline
-//!                                                   file's by more than 25%, or the
-//!                                                   generate/encode wall-clock by
-//!                                                   more than 50%
 //! spinfer faults <M> <K> <N> <sparsity> [--rate R] [--seed S] [--gpu G]
 //!                                                   fault-injection smoke: run the
 //!                                                   checked kernel under a seeded
@@ -118,9 +109,10 @@ use gpu_sim::fault::{FaultInjector, FaultPlan};
 use gpu_sim::matrix::{max_abs_diff, random_dense, random_sparse, ValueDist};
 use gpu_sim::trace::{pids, TraceEvent, TraceSink};
 use gpu_sim::GpuSpec;
+use spinfer_baselines::registry;
 use spinfer_bench::sweep::{self, EncodeCache, SweepOutcome, SweepPoint};
-use spinfer_bench::{render_table, KernelKind};
-use spinfer_core::spmm::LaunchCtx;
+use spinfer_bench::{render_table, FIGURE10_ROSTER};
+use spinfer_core::spmm::{DynSpmmKernel, LaunchCtx};
 use spinfer_core::{serialize, tune, SpMMHandle, SpinferSpmm, TcaBme};
 use spinfer_llm::model::{Generator, ModelRef, TransformerWeights};
 use spinfer_llm::{simulate, Framework, InferenceConfig, ModelConfig};
@@ -137,7 +129,6 @@ fn main() -> ExitCode {
         Some("tune") => cmd_tune(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("generate") => cmd_generate(&args[1..]),
-        Some("snapshot") => cmd_snapshot(&args[1..]),
         Some("faults") => cmd_faults(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
@@ -146,7 +137,7 @@ fn main() -> ExitCode {
         Some("cluster") => cmd_cluster(&args[1..]),
         _ => {
             eprintln!(
-                "usage: spinfer <encode|inspect|bench|tune|serve|generate|snapshot|faults|sweep|trace|spec|quant|cluster> ..."
+                "usage: spinfer <encode|inspect|bench|tune|serve|generate|faults|sweep|trace|spec|quant|cluster> ..."
             );
             eprintln!("see the module docs (or README) for argument lists");
             return ExitCode::from(2);
@@ -243,15 +234,12 @@ fn cmd_bench(args: &[String]) -> CliResult {
         spec.name,
         if functional { " [functional]" } else { "" }
     );
-    let roster = [
-        KernelKind::CublasTc,
-        KernelKind::SpInfer,
-        KernelKind::FlashLlm,
-        KernelKind::SparTa,
-        KernelKind::Sputnik,
-        KernelKind::CuSparse,
-        KernelKind::Smat,
-    ];
+    // Every registered FP16 kernel; `spinfer quant` compares the INT8
+    // payload against SpInfer.
+    let roster: Vec<DynSpmmKernel> = registry()
+        .into_iter()
+        .filter(|kernel| kernel.name() != "SpInfer-INT8")
+        .collect();
     let headers = ["kernel", "time (us)", "speedup vs cuBLAS"];
     let times: Vec<f64> = if functional {
         // Functional path: one weight matrix, encoded at most once per
@@ -260,13 +248,13 @@ fn cmd_bench(args: &[String]) -> CliResult {
         let cache = EncodeCache::new();
         let times = roster
             .iter()
-            .map(|&kernel| {
+            .map(|kernel| {
                 let p = SweepPoint {
                     m,
                     k,
                     n,
                     sparsity: s,
-                    kernel,
+                    kernel: kernel.name(),
                 };
                 sweep::run_functional(&cache, &spec, &p, 0).time_us()
             })
@@ -285,16 +273,16 @@ fn cmd_bench(args: &[String]) -> CliResult {
     } else {
         roster
             .iter()
-            .map(|kind| kind.time_us(&spec, m, k, n, s))
+            .map(|kernel| kernel.estimate_uniform(&spec, m, k, n, s).time_us())
             .collect()
     };
     let base = times[0];
     let rows: Vec<Vec<String>> = roster
         .iter()
         .zip(&times)
-        .map(|(kind, &t)| {
+        .map(|(kernel, &t)| {
             vec![
-                kind.label().to_string(),
+                kernel.name().to_string(),
                 format!("{t:.1}"),
                 format!("{:.2}x", base / t),
             ]
@@ -544,15 +532,13 @@ fn cmd_sweep(args: &[String]) -> CliResult {
     let points: Vec<SweepPoint> = [0.4, 0.5, 0.6, 0.7]
         .iter()
         .flat_map(|&sparsity| {
-            KernelKind::figure10_roster()
-                .into_iter()
-                .map(move |kernel| SweepPoint {
-                    m,
-                    k,
-                    n,
-                    sparsity,
-                    kernel,
-                })
+            FIGURE10_ROSTER.map(move |kernel| SweepPoint {
+                m,
+                k,
+                n,
+                sparsity,
+                kernel,
+            })
         })
         .collect();
     println!(
@@ -576,7 +562,7 @@ fn cmd_sweep(args: &[String]) -> CliResult {
                     if i == idx {
                         panic!("injected sweep panic at point {i}");
                     }
-                    p.kernel.time_us(&spec2, p.m, p.k, p.n, p.sparsity)
+                    p.time_us(&spec2)
                 },
             )
         }
@@ -597,7 +583,7 @@ fn cmd_sweep(args: &[String]) -> CliResult {
             };
             vec![
                 i.to_string(),
-                p.kernel.label().to_string(),
+                p.kernel.to_string(),
                 format!("{:.2}", p.sparsity),
                 status.to_string(),
                 time,
@@ -636,7 +622,7 @@ fn write_sweep_trace(dir: &str, points: &[SweepPoint], outcomes: &[SweepOutcome]
         match o {
             SweepOutcome::Done(t) | SweepOutcome::Resumed(t) => {
                 sink.record(
-                    TraceEvent::span((pids::SWEEP, 0), p.kernel.label(), "sweep", cursor, *t)
+                    TraceEvent::span((pids::SWEEP, 0), p.kernel, "sweep", cursor, *t)
                         .with_arg("sparsity", p.sparsity),
                 );
                 cursor += *t;
@@ -667,91 +653,6 @@ fn write_sweep_trace(dir: &str, points: &[SweepPoint], outcomes: &[SweepOutcome]
     std::fs::write(&metrics_path, reg.snapshot_json())
         .map_err(|e| format!("write {metrics_path}: {e}"))?;
     println!("wrote {trace_path} and {metrics_path}");
-    Ok(())
-}
-
-fn cmd_snapshot(args: &[String]) -> CliResult {
-    let spec = gpu(args)?;
-    let mut cfg = spinfer_bench::snapshot::SnapshotConfig::default();
-    // Positional overrides: M K N sparsity (all four or none).
-    if args.first().is_some_and(|a| !a.starts_with("--")) {
-        cfg.m = parse(args, 0, "M")?;
-        cfg.k = parse(args, 1, "K")?;
-        cfg.n = parse(args, 2, "N")?;
-        cfg.sparsity = parse(args, 3, "sparsity")?;
-    }
-    if let Some(s) = flag_value(args, "--seed") {
-        cfg.seed = s.parse().map_err(|_| format!("invalid seed: {s}"))?;
-    }
-    eprintln!(
-        "snapshot: {}x{}x{} s={} on {} (functional run at --jobs 1 and default jobs)",
-        cfg.m, cfg.k, cfg.n, cfg.sparsity, spec.name
-    );
-    let mut snap = spinfer_bench::snapshot::measure(&spec, &cfg);
-    if let Some(budget_path) = flag_value(args, "--budget") {
-        let baseline = std::fs::read_to_string(budget_path)
-            .map_err(|e| format!("read budget baseline {budget_path}: {e}"))?;
-        // The kernel gate is mandatory and gets 1.25x headroom. The
-        // setup gates apply whenever the baseline records them
-        // (pre-setup-pipeline baselines do not) and get 1.5x: their
-        // wall-clock is dominated by hundreds of MB of first-touch
-        // page faults, whose cost swings far more run-to-run on
-        // shared hosts than the compute-bound functional run.
-        let gates = [
-            (
-                "spinfer_functional_jobs1",
-                snap.spinfer_functional_jobs1_s,
-                true,
-                1.25,
-            ),
-            ("generate", snap.gen_s, false, 1.5),
-            ("encode", snap.encode_s, false, 1.5),
-            ("cluster_smoke", snap.cluster_smoke_s, false, 1.5),
-            ("spec_smoke", snap.spec_smoke_s, false, 1.5),
-            ("quant_smoke", snap.quant_smoke_s, false, 1.5),
-        ];
-        for (label, measured, required, headroom) in gates {
-            let base = match spinfer_bench::snapshot::wall_clock_of(&baseline, label) {
-                Some(base) => base,
-                None if required => {
-                    return Err(format!("{budget_path}: no wall_clock_s.{label}"));
-                }
-                None => {
-                    eprintln!("budget: baseline has no wall_clock_s.{label}; skipping");
-                    continue;
-                }
-            };
-            // Absolute floor: sub-millisecond baselines (the cluster
-            // smoke rounds to 0.000) would otherwise make any positive
-            // later measurement a "regression".
-            let limit = (base * headroom).max(0.05);
-            if measured > limit {
-                return Err(format!(
-                    "wall-clock budget exceeded: {label} took {measured:.3}s, \
-                     over {headroom}x the {base:.3}s baseline in {budget_path} ({limit:.3}s)"
-                ));
-            }
-            eprintln!("budget ok: {label} {measured:.3}s <= {headroom}x baseline {base:.3}s");
-        }
-    }
-    match flag_value(args, "--out") {
-        Some(path) => {
-            // Overwriting an existing snapshot appends its latest
-            // measurement to the history chain instead of losing it.
-            if let Ok(prev) = std::fs::read_to_string(path) {
-                snap.history = spinfer_bench::snapshot::carry_history(&prev);
-            }
-            let json = snap.to_json();
-            std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-            eprintln!(
-                "wrote {path} (jobs1 {:.3}s, default({}) {:.3}s)",
-                snap.spinfer_functional_jobs1_s,
-                snap.default_jobs,
-                snap.spinfer_functional_default_s
-            );
-        }
-        None => print!("{}", snap.to_json()),
-    }
     Ok(())
 }
 

@@ -19,7 +19,6 @@
 //! `quantized-inference` job asserts exactly that).
 
 use crate::sweep::{self, EncodeCache, SweepPoint};
-use crate::KernelKind;
 use gpu_sim::matrix::{random_sparse, ValueDist};
 use gpu_sim::spec::GpuSpec;
 use spinfer_core::{serialize, TcaBme};
@@ -53,7 +52,7 @@ impl Default for QuantConfig {
 }
 
 impl QuantConfig {
-    /// The tiny grid the perf snapshot and CI smoke run: same coverage
+    /// The tiny grid the CI smoke runs: same coverage
     /// shape (2 shapes × 3 sparsities × 2 precisions) at toy sizes.
     pub fn smoke() -> Self {
         QuantConfig {
@@ -104,7 +103,7 @@ pub fn grid(cfg: &QuantConfig) -> Vec<SweepPoint> {
     let mut points = Vec::new();
     for &(m, k) in &cfg.shapes {
         for &sparsity in &cfg.sparsities {
-            for kernel in [KernelKind::SpInfer, KernelKind::SpInferInt8] {
+            for kernel in ["SpInfer", "SpInfer-INT8"] {
                 points.push(SweepPoint {
                     m,
                     k,
@@ -141,7 +140,7 @@ pub fn run(
     let mut rows = Vec::new();
     for (pair, outs) in points.chunks_exact(2).zip(outcomes.chunks_exact(2)) {
         let p = &pair[0];
-        debug_assert_eq!(pair[1].kernel, KernelKind::SpInferInt8);
+        debug_assert_eq!(pair[1].kernel, "SpInfer-INT8");
         let (Some(fp16_us), Some(int8_us)) = (outs[0].time_us(), outs[1].time_us()) else {
             continue;
         };
@@ -240,8 +239,8 @@ mod tests {
         assert!(cfg.sparsities.len() >= 3, "at least three sparsity levels");
         let g = grid(&cfg);
         assert_eq!(g.len(), cfg.shapes.len() * cfg.sparsities.len() * 2);
-        assert!(g.iter().any(|p| p.kernel == KernelKind::SpInfer));
-        assert!(g.iter().any(|p| p.kernel == KernelKind::SpInferInt8));
+        assert!(g.iter().any(|p| p.kernel == "SpInfer"));
+        assert!(g.iter().any(|p| p.kernel == "SpInfer-INT8"));
     }
 
     #[test]
@@ -305,8 +304,8 @@ mod tests {
         // At memory-bound serving shapes the INT8 estimate must be
         // faster; tiny smoke shapes are allowed to be overhead-bound.
         let spec = GpuSpec::rtx4090();
-        let fp16 = KernelKind::SpInfer.time_us(&spec, crate::HERO_M, crate::HERO_K, 16, 0.6);
-        let int8 = KernelKind::SpInferInt8.time_us(&spec, crate::HERO_M, crate::HERO_K, 16, 0.6);
+        let fp16 = crate::time_us("SpInfer", &spec, crate::HERO_M, crate::HERO_K, 16, 0.6);
+        let int8 = crate::time_us("SpInfer-INT8", &spec, crate::HERO_M, crate::HERO_K, 16, 0.6);
         assert!(int8 < fp16, "INT8 {int8} us must beat FP16 {fp16} us");
     }
 }

@@ -115,6 +115,17 @@ impl SpmmKernel for SpinferSpmmInt8 {
     ) -> Result<SpmmRun, SpinferError> {
         self.fp16().launch_with::<i8>(ctx, enc, x, KERNEL_NAME_INT8)
     }
+
+    fn estimate_uniform(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, &FormatStats::synthetic(m, k, sparsity), n)
+    }
 }
 
 /// The `i8` payload points of the shared block loop.

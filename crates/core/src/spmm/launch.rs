@@ -164,6 +164,19 @@ pub trait SpmmKernel {
         x: &DenseMatrix,
     ) -> Result<SpmmRun, SpinferError>;
 
+    /// Analytic run of an `M×K` weight with i.i.d. element `sparsity`
+    /// against `K×N` activations: the kernel's own estimator on
+    /// synthetic format statistics, without touching data. Estimators
+    /// that take a nonzero count get `round(M·K·(1−sparsity))`.
+    fn estimate_uniform(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun;
+
     /// Encode-then-launch convenience: `run(w, x) = launch(encode(w), x)`
     /// on a bare context.
     ///
@@ -248,6 +261,14 @@ trait ErasedSpmm: Send + Sync {
         enc: &DynEncoded,
         x: &DenseMatrix,
     ) -> Result<SpmmRun, SpinferError>;
+    fn estimate_uniform_dyn(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun;
 }
 
 impl<K: SpmmKernel + Send + Sync + 'static> ErasedSpmm for K {
@@ -274,6 +295,17 @@ impl<K: SpmmKernel + Send + Sync + 'static> ErasedSpmm for K {
         x: &DenseMatrix,
     ) -> Result<SpmmRun, SpinferError> {
         self.launch(ctx, self.expect_typed(enc), x)
+    }
+
+    fn estimate_uniform_dyn(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate_uniform(spec, m, k, n, sparsity)
     }
 }
 
@@ -346,6 +378,19 @@ impl DynSpmmKernel {
         self.inner.launch_dyn(ctx, enc, x)
     }
 
+    /// Analytic run on a uniform-sparsity weight (see
+    /// [`SpmmKernel::estimate_uniform`]).
+    pub fn estimate_uniform(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.inner.estimate_uniform_dyn(spec, m, k, n, sparsity)
+    }
+
     /// Encode-then-launch on a bare context.
     ///
     /// # Panics
@@ -395,6 +440,17 @@ impl SpmmKernel for SpinferSpmm {
         x: &DenseMatrix,
     ) -> Result<SpmmRun, SpinferError> {
         self.launch_with::<Half>(ctx, enc, x, kernel_name(self.config.ablation))
+    }
+
+    fn estimate_uniform(
+        &self,
+        spec: &GpuSpec,
+        m: usize,
+        k: usize,
+        n: usize,
+        sparsity: f64,
+    ) -> SpmmRun {
+        self.estimate(spec, &FormatStats::synthetic(m, k, sparsity), n)
     }
 }
 

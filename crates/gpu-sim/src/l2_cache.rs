@@ -98,16 +98,6 @@ impl L2Cache {
     pub fn miss_bytes(&self) -> u64 {
         self.misses * LINE_BYTES
     }
-
-    /// Hit rate over all accesses.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// Replays a GEMM-style panel walk: blocks rasterised over an `m×n`

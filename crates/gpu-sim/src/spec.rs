@@ -194,11 +194,6 @@ impl GpuSpec {
         self.tc_flops_per_cycle_per_sm * self.clock_hz * f64::from(self.sm_count)
     }
 
-    /// Peak FP32 CUDA-core throughput of the whole device, FLOP/s.
-    pub fn peak_cuda_flops(&self) -> f64 {
-        self.cuda_flops_per_cycle_per_sm * self.clock_hz * f64::from(self.sm_count)
-    }
-
     /// The ridge point of the Tensor-Core roofline in FLOP/byte: compute
     /// intensity above which kernels become compute-bound.
     pub fn tc_ridge_point(&self) -> f64 {

@@ -8,7 +8,8 @@
 
 use gpu_sim::spec::GpuSpec;
 use spinfer_baselines::formats::tiled_csl::TiledCsl;
-use spinfer_baselines::kernels::{CublasGemm, FlashLlmSpmm, FlashLlmStats};
+use spinfer_baselines::kernels::{CublasGemm, FlashLlmSpmm};
+use spinfer_core::spmm::SpmmKernel;
 use spinfer_core::{FormatStats, SpinferError, SpinferSpmm, SpinferSpmmInt8};
 
 /// An inference framework under comparison.
@@ -63,27 +64,23 @@ impl Framework {
 
     /// Simulated time of one `m×k × k×n` linear layer in seconds.
     pub fn linear_sec(self, spec: &GpuSpec, m: usize, k: usize, n: usize, sparsity: f64) -> f64 {
-        match self {
-            Framework::SpInfer => SpinferSpmm::new()
-                .estimate(spec, &FormatStats::synthetic(m, k, sparsity), n)
-                .chain
-                .time_sec(),
-            Framework::SpInferInt8 => SpinferSpmmInt8::new()
-                .estimate(spec, &FormatStats::synthetic(m, k, sparsity), n)
-                .chain
-                .time_sec(),
-            Framework::FlashLlm => FlashLlmSpmm::new()
-                .estimate(spec, &FlashLlmStats::synthetic(m, k, sparsity), n)
-                .chain
-                .time_sec(),
-            Framework::FasterTransformer => {
-                CublasGemm::new().estimate(spec, m, k, n).chain.time_sec()
+        let run = match self {
+            Framework::SpInfer => SpinferSpmm::new().estimate_uniform(spec, m, k, n, sparsity),
+            Framework::SpInferInt8 => {
+                SpinferSpmmInt8::new().estimate_uniform(spec, m, k, n, sparsity)
             }
-            // DeepSpeed's linear path is also cuBLAS; its measured gap
-            // comes from less aggressive fusion around it.
-            Framework::DeepSpeed => {
-                CublasGemm::new().estimate(spec, m, k, n).chain.time_sec() * 1.04
+            Framework::FlashLlm => FlashLlmSpmm::new().estimate_uniform(spec, m, k, n, sparsity),
+            Framework::FasterTransformer | Framework::DeepSpeed => {
+                CublasGemm::new().estimate_uniform(spec, m, k, n, sparsity)
             }
+        };
+        // DeepSpeed's linear path is also cuBLAS; its measured gap
+        // comes from less aggressive fusion around it.
+        let t = run.chain.time_sec();
+        if self == Framework::DeepSpeed {
+            t * 1.04
+        } else {
+            t
         }
     }
 

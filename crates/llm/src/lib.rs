@@ -14,7 +14,6 @@
 pub mod breakdown;
 pub mod cluster;
 pub mod config;
-pub mod disagg;
 pub mod engine;
 pub mod frameworks;
 pub mod memory;

@@ -1,10 +1,11 @@
 //! Minimal JSON value: builder, serializer, and recursive-descent parser.
 //!
 //! The workspace has no registry access, so there is no serde; every
-//! producer so far hand-rolls its JSON (`spinfer-bench`'s snapshot and
-//! sweep checkpoints). The observability layer also needs to *read* JSON
-//! back (trace validation, snapshot diff), so this module provides the
-//! round-trip: a small `Value` tree, `to_string`, and `parse`.
+//! producer so far hand-rolls its JSON (`spinfer-bench`'s sweep
+//! checkpoints and quant report). The observability layer also needs to
+//! *read* JSON back (trace validation, snapshot diff), so this module
+//! provides the round-trip: a small `Value` tree, `to_string`, and
+//! `parse`.
 //!
 //! Numbers are `f64` (like JavaScript); integers up to 2^53 round-trip
 //! exactly, which covers every metric this workspace emits. Object key

@@ -3,9 +3,8 @@
 //!
 //! The registry is the aggregate side of the observability subsystem:
 //! trace spans answer "when", the registry answers "how much". Snapshots
-//! serialize to the same hand-rolled JSON style as `BENCH_kernels.json`
-//! (flat, deterministic key order) so baselines can be committed and
-//! diffed in CI.
+//! serialize to hand-rolled JSON (flat, deterministic key order) so
+//! baselines can be committed and diffed in CI.
 
 use crate::json::Value;
 use std::collections::BTreeMap;

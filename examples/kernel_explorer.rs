@@ -7,15 +7,10 @@
 //! `cargo run --release --example kernel_explorer -- <M> <K> [gpu]`
 //! e.g. `cargo run --release --example kernel_explorer -- 28672 8192 a6000`
 
+use spinfer_bench::FIGURE10_ROSTER;
+use spinfer_suite::baselines::kernel_by_name;
 use spinfer_suite::gpu_sim::GpuSpec;
 use spinfer_suite::roofline::{attainable_flops, ci_gemm};
-
-// The bench crate is not a dependency of the umbrella crate, so the
-// roster is assembled here from the public kernel APIs.
-use spinfer_suite::baselines::kernels::{
-    CublasGemm, CusparseSpmm, FlashLlmSpmm, FlashLlmStats, SpartaSpmm, SpartaStats, SputnikSpmm,
-};
-use spinfer_suite::core::{FormatStats, SpinferSpmm};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -26,56 +21,26 @@ fn main() {
         Some("a100") => GpuSpec::a100_like(),
         _ => GpuSpec::rtx4090(),
     };
+    let kernels: Vec<_> = FIGURE10_ROSTER
+        .iter()
+        .map(|name| kernel_by_name(name).expect("registered kernel"))
+        .collect();
 
     println!("Kernel explorer: W = {m}x{k} on {}", spec.name);
-    println!(
-        "{:>4} {:>9} | {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} | {:>9} {:>8}",
-        "N",
-        "sparsity",
-        "cuBLAS",
-        "SpInfer",
-        "Flash-LLM",
-        "SparTA",
-        "Sputnik",
-        "cuSPARSE",
-        "winner",
-        "regime"
-    );
+    print!("{:>4} {:>9} |", "N", "sparsity");
+    for kernel in &kernels {
+        print!(" {:>10}", kernel.name());
+    }
+    println!(" | {:>9} {:>8}", "winner", "regime");
     for n in [8usize, 16, 32, 256, 2048] {
         for s in [0.4, 0.5, 0.6, 0.7] {
-            let nnz = ((m * k) as f64 * (1.0 - s)) as usize;
-            let times = [
-                (
-                    "cuBLAS",
-                    CublasGemm::new().estimate(&spec, m, k, n).time_us(),
-                ),
-                (
-                    "SpInfer",
-                    SpinferSpmm::new()
-                        .estimate(&spec, &FormatStats::synthetic(m, k, s), n)
-                        .time_us(),
-                ),
-                (
-                    "Flash-LLM",
-                    FlashLlmSpmm::new()
-                        .estimate(&spec, &FlashLlmStats::synthetic(m, k, s), n)
-                        .time_us(),
-                ),
-                (
-                    "SparTA",
-                    SpartaSpmm::new()
-                        .estimate(&spec, &SpartaStats::synthetic(m, k, s), n)
-                        .time_us(),
-                ),
-                (
-                    "Sputnik",
-                    SputnikSpmm::new().estimate(&spec, m, k, n, nnz).time_us(),
-                ),
-                (
-                    "cuSPARSE",
-                    CusparseSpmm::new().estimate(&spec, m, k, n, nnz).time_us(),
-                ),
-            ];
+            let times: Vec<(&str, f64)> = kernels
+                .iter()
+                .map(|kernel| {
+                    let t = kernel.estimate_uniform(&spec, m, k, n, s).time_us();
+                    (kernel.name(), t)
+                })
+                .collect();
             let winner = times
                 .iter()
                 .min_by(|a, b| a.1.total_cmp(&b.1))

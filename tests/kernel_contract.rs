@@ -9,8 +9,10 @@
 //! 3. Attaching a trace sink is output-neutral and actually records
 //!    events.
 //! 4. A kernel's own encoding passes its `validate`.
+//! 5. `estimate_uniform` is finite and positive, and bit-equal to the
+//!    kernel's own inherent `estimate` on the same synthetic statistics.
 //!
-//! Everything runs inside one `#[test]` body: `exec::set_jobs` is
+//! Items 1–4 run inside one `#[test]` body: `exec::set_jobs` is
 //! process-global, so the job sweep must not interleave with another
 //! test thread in this binary.
 
@@ -18,8 +20,13 @@ use gpu_sim::exec;
 use gpu_sim::matrix::{checksum_f32, random_dense, random_sparse, ValueDist};
 use gpu_sim::trace::TraceSink;
 use gpu_sim::GpuSpec;
+use spinfer_baselines::kernels::{
+    CublasGemm, CusparseSpmm, FlashLlmSpmm, FlashLlmStats, SmatSpmm, SmatStats, SpartaSpmm,
+    SpartaStats, SputnikSpmm,
+};
 use spinfer_baselines::registry;
 use spinfer_core::spmm::{LaunchCtx, SpmmRun};
+use spinfer_core::{FormatStats, SpinferSpmm, SpinferSpmmInt8};
 
 /// The complete observable signature of one run: output checksum plus,
 /// per launch, (kernel name, counter digest, simulated-time bits).
@@ -83,5 +90,43 @@ fn every_registered_kernel_honors_the_contract() {
             );
         }
         exec::set_jobs(0);
+    }
+}
+
+/// The registered kernel `name`'s inherent estimator, fed the synthetic
+/// statistics `estimate_uniform` documents for an `m×k` weight at
+/// sparsity `s`.
+fn inherent_estimate(name: &str, spec: &GpuSpec, m: usize, k: usize, n: usize, s: f64) -> SpmmRun {
+    let nnz = ((m * k) as f64 * (1.0 - s)).round() as usize;
+    match name {
+        "cuBLAS_TC" => CublasGemm::new().estimate(spec, m, k, n),
+        "SpInfer" => SpinferSpmm::new().estimate(spec, &FormatStats::synthetic(m, k, s), n),
+        "SpInfer-INT8" => {
+            SpinferSpmmInt8::new().estimate(spec, &FormatStats::synthetic(m, k, s), n)
+        }
+        "Flash-LLM" => FlashLlmSpmm::new().estimate(spec, &FlashLlmStats::synthetic(m, k, s), n),
+        "SparTA" => SpartaSpmm::new().estimate(spec, &SpartaStats::synthetic(m, k, s), n),
+        "Sputnik" => SputnikSpmm::new().estimate(spec, m, k, n, nnz),
+        "cuSPARSE" => CusparseSpmm::new().estimate(spec, m, k, n, nnz),
+        "SMaT" => SmatSpmm::new().estimate(spec, &SmatStats::synthetic_uniform(m, k, s), n),
+        other => panic!("{other}: no inherent estimator mapped in this test"),
+    }
+}
+
+#[test]
+fn every_registered_kernel_estimates_uniform_weights() {
+    let spec = GpuSpec::rtx4090();
+    let (m, k, n, s) = (4096usize, 4096usize, 16usize, 0.5);
+    for kernel in registry() {
+        let name = kernel.name();
+        let t = kernel.estimate_uniform(&spec, m, k, n, s).time_us();
+        assert!(t > 0.0 && t.is_finite(), "{name}: {t}");
+        assert_eq!(
+            t.to_bits(),
+            inherent_estimate(name, &spec, m, k, n, s)
+                .time_us()
+                .to_bits(),
+            "{name}: estimate_uniform vs the inherent estimate"
+        );
     }
 }

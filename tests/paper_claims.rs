@@ -9,7 +9,7 @@ use gpu_sim::GpuSpec;
 use spinfer_baselines::kernels::{
     CublasGemm, FlashLlmSpmm, FlashLlmStats, SpartaSpmm, SpartaStats,
 };
-use spinfer_bench::{figure10_shapes, geomean, KernelKind, HERO_K, HERO_M};
+use spinfer_bench::{figure10_shapes, geomean, time_us, FIGURE10_ROSTER, HERO_K, HERO_M};
 use spinfer_core::{FormatStats, SpinferSpmm};
 use spinfer_llm::{simulate, Framework, InferenceConfig, ModelConfig};
 use spinfer_roofline::{compression_ratio, FormatKind};
@@ -62,8 +62,8 @@ fn claim_average_speedup_grows_with_sparsity() {
         let mut v = Vec::new();
         for shape in figure10_shapes() {
             for &n in &[8usize, 16, 32] {
-                let cb = KernelKind::CublasTc.time_us(&spec, shape.m, shape.k, n, s);
-                let sp = KernelKind::SpInfer.time_us(&spec, shape.m, shape.k, n, s);
+                let cb = time_us("cuBLAS_TC", &spec, shape.m, shape.k, n, s);
+                let sp = time_us("SpInfer", &spec, shape.m, shape.k, n, s);
                 v.push(cb / sp);
             }
         }
@@ -84,11 +84,11 @@ fn claim_win_rate_at_50_percent() {
     let mut total = 0;
     for shape in figure10_shapes() {
         for &n in &[8usize, 16, 32] {
-            let sp = KernelKind::SpInfer.time_us(&spec, shape.m, shape.k, n, 0.5);
-            let all_better = KernelKind::figure10_roster()
+            let sp = time_us("SpInfer", &spec, shape.m, shape.k, n, 0.5);
+            let all_better = FIGURE10_ROSTER
                 .iter()
-                .filter(|k| **k != KernelKind::SpInfer)
-                .all(|k| sp < k.time_us(&spec, shape.m, shape.k, n, 0.5));
+                .filter(|k| **k != "SpInfer")
+                .all(|k| sp < time_us(k, &spec, shape.m, shape.k, n, 0.5));
             total += 1;
             if all_better {
                 wins += 1;
@@ -116,8 +116,8 @@ fn claim_compression_crossovers() {
 fn claim_prefill_deficit_is_bounded() {
     let spec = GpuSpec::rtx4090();
     for &n in &[2048usize, 4096] {
-        let cb = KernelKind::CublasTc.time_us(&spec, HERO_M, HERO_K, n, 0.6);
-        let sp = KernelKind::SpInfer.time_us(&spec, HERO_M, HERO_K, n, 0.6);
+        let cb = time_us("cuBLAS_TC", &spec, HERO_M, HERO_K, n, 0.6);
+        let sp = time_us("SpInfer", &spec, HERO_M, HERO_K, n, 0.6);
         let deficit = sp / cb - 1.0;
         assert!(deficit < 0.20, "N={n}: {:.1}% slower", deficit * 100.0);
     }
